@@ -36,8 +36,8 @@ Config schema (JSON object)::
     }
 
 Every number in an output CSV is reproducible from the manifest plus the
-dataset file alone; two runs of one config differ only in the
-``wall_seconds`` column.
+dataset file alone, at the BLAS thread count the manifest records; two
+runs of one config differ only in the ``wall_seconds`` column.
 """
 
 from __future__ import annotations
@@ -48,11 +48,13 @@ import hashlib
 import json
 import math
 import os
+import platform
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .data import (
@@ -488,6 +490,35 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+# Results change in the last bits with the BLAS thread count, so the
+# manifest records these next to the library versions.
+THREAD_VARIABLES = (
+    "OPENBLAS_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "SKETCHYSGD_NUM_THREADS",
+)
+
+
+def file_sha256(path) -> str:
+    """Hex SHA-256 of a file, read in 1 MiB blocks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def environment() -> dict:
+    """Interpreter and library versions plus the thread settings in effect."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "threads": {name: os.environ.get(name) for name in THREAD_VARIABLES},
+    }
+
+
 def cmd_run(args) -> int:
     config, base_dir = _load_config(args.config)
     config = _apply_overrides(config, args)
@@ -524,11 +555,11 @@ def cmd_run(args) -> int:
     else:
         outcomes = [execute(job) for job in jobs]
 
-    digest = hashlib.sha256(Path(dataset_path).read_bytes()).hexdigest()
     manifest = {
         "package_version": __version__,
+        "environment": environment(),
         "dataset_path": str(dataset_path),
-        "dataset_sha256": digest,
+        "dataset_sha256": file_sha256(dataset_path),
         "task": oracle.task,
         "n_train": oracle.n,
         "n_test": test.n if test is not None else 0,

@@ -5,7 +5,10 @@ subsampled Hessian), ``rand_nys_approx`` builds a rank-r eigenpair
 factorization ``H_hat = V diag(lam) V.T`` from a single blocked sketch
 ``Y = H Q``.  The regularized approximation ``P = H_hat + rho I`` then
 supports O(p r) application of ``P^{-1}`` and ``P^{-1/2}`` through the
-matrix inversion lemma, which is all the optimizer ever needs.
+matrix inversion lemma, which is all the optimizer ever needs.  Both go
+through one apply, ``P^{-s} v = V (c * ((lam + rho)^{-s} - rho^{-s})) + rho^{-s} v``
+with ``c = V.T v``: two passes over the basis, which is stored column-major
+so that each pass reads contiguous columns.
 """
 
 from __future__ import annotations
@@ -62,7 +65,9 @@ class NystromApprox:
             raise ValueError("eigenvalue estimates must be nonnegative")
         if np.any(np.diff(eig) > 0):
             raise ValueError("eigenvalues must be sorted descending")
-        object.__setattr__(self, "basis", basis)
+        # Column-major, so both products in the preconditioner apply stream
+        # contiguous columns of V.
+        object.__setattr__(self, "basis", np.asfortranarray(basis))
         object.__setattr__(self, "eigenvalues", eig)
 
     @property
@@ -137,24 +142,25 @@ def _check_rho(rho: float) -> float:
     return float(rho)
 
 
-def precond_solve(nys: NystromApprox, rho: float, v: np.ndarray) -> np.ndarray:
-    """Apply ``(H_hat + rho I)^{-1}`` in O(p r).
+def _apply(nys: NystromApprox, rho: float, v: np.ndarray, power: float) -> np.ndarray:
+    """Apply ``(H_hat + rho I)^{-power}`` to a vector or block.
 
-    Matrix-inversion-lemma form: ``V (lam + rho)^{-1} V.T v + (v - V V.T v)/rho``.
+    The inversion-lemma form ``V (lam + rho)^-power c + rho^-power (v - V c)``,
+    ``c = V.T v``, with its two products against V merged into one.
     """
     rho = _check_rho(rho)
     v = np.asarray(v, dtype=np.float64)
+    scale = rho**-power
     coeffs = nys.basis.T @ v
-    denom = nys.eigenvalues + rho
-    scaled = coeffs / (denom[:, None] if coeffs.ndim == 2 else denom)
-    return nys.basis @ scaled + (v - nys.basis @ coeffs) / rho
+    gain = (nys.eigenvalues + rho) ** -power - scale
+    return nys.basis @ (coeffs * (gain[:, None] if coeffs.ndim == 2 else gain)) + scale * v
+
+
+def precond_solve(nys: NystromApprox, rho: float, v: np.ndarray) -> np.ndarray:
+    """Apply ``(H_hat + rho I)^{-1}`` in O(p r)."""
+    return _apply(nys, rho, v, 1.0)
 
 
 def precond_inv_sqrt(nys: NystromApprox, rho: float, v: np.ndarray) -> np.ndarray:
     """Apply ``(H_hat + rho I)^{-1/2}`` in O(p r)."""
-    rho = _check_rho(rho)
-    v = np.asarray(v, dtype=np.float64)
-    coeffs = nys.basis.T @ v
-    denom = np.sqrt(nys.eigenvalues + rho)
-    scaled = coeffs / (denom[:, None] if coeffs.ndim == 2 else denom)
-    return nys.basis @ scaled + (v - nys.basis @ coeffs) / np.sqrt(rho)
+    return _apply(nys, rho, v, 0.5)

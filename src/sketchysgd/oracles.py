@@ -122,20 +122,56 @@ class ProblemOracle:
             raise ValueError("batch indices out of range")
         return batch
 
+    def _is_full(self, batch: np.ndarray) -> bool:
+        """Whether ``batch`` is exactly ``arange(n)``, e.g. an SVRG snapshot."""
+        return batch.size == self.n and batch[0] == 0 and bool(np.all(np.diff(batch) == 1))
+
+    def _gather_rows(self, batch: np.ndarray):
+        """Nonzeros of the CSR rows ``batch``, in storage order.
+
+        Returns ``(rows, cols, vals)``: the position of each entry's row in
+        ``batch``, its column and its value.  Products built from these with
+        ``np.bincount`` add the same terms in the same order as scipy's
+        ``csr_matvec``/``csc_matvec`` on ``features[batch]``, so they agree
+        to the last bit without materializing the row slice.
+        """
+        feats = self.data.features
+        starts = feats.indptr[batch]
+        counts = feats.indptr[batch + 1] - starts
+        ends = np.cumsum(counts)
+        # Row j's entries occupy gathered slots ends[j] - counts[j] .. ends[j] - 1;
+        # slot t holds the stored entry starts[j] + t - (ends[j] - counts[j]).
+        positions = np.repeat(starts - (ends - counts), counts) + np.arange(ends[-1])
+        rows = np.repeat(np.arange(batch.size), counts)
+        return rows, feats.indices[positions], feats.data[positions]
+
+    def _logistic_weights(self, z: np.ndarray, batch: np.ndarray) -> np.ndarray:
+        s = expit(self.data.labels[batch] * z)
+        return s * (1.0 - s)
+
+    def _loss_slope(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Derivative of each sample's loss with respect to its margin."""
+        if self.task == "ridge":
+            return z - y
+        # d/dz log(1 + exp(-y z)) = -y sigma(-y z)
+        return -y * expit(-y * z)
+
     def minibatch_gradient(self, w: np.ndarray, batch: np.ndarray) -> np.ndarray:
         """``(1/|B|) sum_{i in B} grad f_i(w) + l2 * w``."""
         w = self._check_w(w)
         batch = self._check_batch(batch)
-        feats = self.data.features[batch]
-        z = np.asarray(feats @ w).ravel()
-        if self.task == "ridge":
-            coeff = z - self.data.labels[batch]
+        y = self.data.labels[batch]
+        full = self._is_full(batch)
+        if self.data.is_sparse and not full:
+            rows, cols, vals = self._gather_rows(batch)
+            z = np.bincount(rows, weights=vals * w[cols], minlength=batch.size)
+            coeff = self._loss_slope(z, y)
+            grad = np.bincount(cols, weights=vals * coeff[rows], minlength=self.p)
         else:
-            y = self.data.labels[batch]
-            # d/dz log(1 + exp(-y z)) = -y sigma(-y z)
-            coeff = -y * expit(-y * z)
-        grad = np.asarray(feats.T @ coeff).ravel() / batch.size
-        return grad + self.l2 * w
+            feats = self.data.features if full else self.data.features[batch]
+            coeff = self._loss_slope(np.asarray(feats @ w).ravel(), y)
+            grad = np.asarray(feats.T @ coeff).ravel()
+        return grad / batch.size + self.l2 * w
 
     def curvature_weights(self, w: np.ndarray, batch: np.ndarray) -> np.ndarray:
         """Per-sample Hessian weights d_i(w): 1 for ridge, sigma(1-sigma) for logistic."""
@@ -143,9 +179,7 @@ class ProblemOracle:
         batch = self._check_batch(batch)
         if self.task == "ridge":
             return np.ones(batch.size)
-        y = self.data.labels[batch]
-        s = expit(y * self._margins(w, batch))
-        return s * (1.0 - s)
+        return self._logistic_weights(self._margins(w, batch), batch)
 
     def minibatch_hvp(self, w: np.ndarray, batch: np.ndarray, v: np.ndarray) -> np.ndarray:
         """``(1/|S|) sum_{i in S} d_i(w) a_i (a_i' v)``, l2 term excluded.
@@ -158,6 +192,13 @@ class ProblemOracle:
         v = np.asarray(v, dtype=np.float64)
         if v.shape[0] != self.p:
             raise ValueError(f"vector has leading dimension {v.shape[0]}, expected {self.p}")
+        if self.data.is_sparse and v.ndim == 1:
+            rows, cols, vals = self._gather_rows(batch)
+            weighted = np.bincount(rows, weights=vals * v[cols], minlength=batch.size)
+            if self.task == "logistic":
+                z = np.bincount(rows, weights=vals * w[cols], minlength=batch.size)
+                weighted = weighted * self._logistic_weights(z, batch)
+            return np.bincount(cols, weights=vals * weighted[rows], minlength=self.p) / batch.size
         feats = self.data.features[batch]
         av = np.asarray(feats @ v)
         d = self.curvature_weights(w, batch)

@@ -1,9 +1,12 @@
+import hashlib
 import json
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
-from sketchysgd.cli import main, records_to_csv, validate_config
+from sketchysgd.cli import file_sha256, main, records_to_csv, validate_config
 from sketchysgd.data import save_libsvm
 from sketchysgd.optimizers import MetricsRecord
 from sketchysgd.synthetic import gaussian_dataset, planted_least_squares
@@ -49,6 +52,30 @@ def test_run_produces_one_csv_per_job_plus_manifest(workspace):
     assert all(job["status"] == "ok" for job in manifest["jobs"])
     resolved = manifest["jobs"][0]["resolved"]
     assert resolved["rho"] > 0 and resolved["update_freq"] == "inf"
+
+
+def test_manifest_records_digest_versions_and_threads(workspace, monkeypatch):
+    tmp_path, cfg_path, _ = workspace
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    assert main(["run", str(cfg_path)]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    want = hashlib.sha256((tmp_path / "train.svm").read_bytes()).hexdigest()
+    assert manifest["dataset_sha256"] == want
+    env = manifest["environment"]
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
+    assert env["threads"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert env["threads"]["MKL_NUM_THREADS"] is None
+    assert set(env["threads"]) >= {"OMP_NUM_THREADS", "SKETCHYSGD_NUM_THREADS"}
+
+
+@pytest.mark.parametrize("size", [0, 5, (1 << 20) - 1, 1 << 20, (5 << 19) + 3])
+def test_file_sha256_matches_hashlib(tmp_path, size):
+    path = tmp_path / "blob"
+    payload = np.random.default_rng(size).bytes(size)
+    path.write_bytes(payload)
+    assert file_sha256(path) == hashlib.sha256(payload).hexdigest()
 
 
 def test_run_is_deterministic_apart_from_wall_clock(workspace, tmp_path):

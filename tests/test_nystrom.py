@@ -156,9 +156,27 @@ def test_block_application():
     h, hvp = psd_operator(30, 30, 18)
     nys = rand_nys_approx(hvp, 30, 5, make_rng(18))
     block = make_rng(19).standard_normal((30, 4))
-    got = precond_solve(nys, 0.1, block)
-    for j in range(4):
-        np.testing.assert_allclose(got[:, j], precond_solve(nys, 0.1, block[:, j]), rtol=1e-13)
+    for apply in (precond_solve, precond_inv_sqrt):
+        got = apply(nys, 0.1, block)
+        assert got.shape == (30, 4)
+        for j in range(4):
+            np.testing.assert_allclose(got[:, j], apply(nys, 0.1, block[:, j]), rtol=1e-13)
+
+
+@pytest.mark.parametrize("apply, power", [(precond_solve, 1.0), (precond_inv_sqrt, 0.5)])
+def test_c_ordered_basis_is_accepted(apply, power):
+    p, r, rho = 40, 6, 0.3
+    basis, _ = np.linalg.qr(make_rng(20).standard_normal((p, r)))
+    basis = np.ascontiguousarray(basis)
+    eig = np.sort(make_rng(21).uniform(0.0, 5.0, r))[::-1]
+    nys = NystromApprox(basis, eig)
+    assert nys.basis.flags.f_contiguous
+    np.testing.assert_array_equal(nys.basis, basis)
+    vals, vecs = eigh_small((basis * eig) @ basis.T + rho * np.eye(p))
+    dense = (vecs * vals**-power) @ vecs.T
+    v = make_rng(22).standard_normal((p, 3))
+    np.testing.assert_allclose(apply(nys, rho, v), dense @ v, rtol=1e-11, atol=1e-13)
+    np.testing.assert_allclose(apply(nys, rho, v[:, 0]), dense @ v[:, 0], rtol=1e-11, atol=1e-13)
 
 
 def test_rand_nys_approx_validates_rank():

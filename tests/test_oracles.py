@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.special import expit
 
 from sketchysgd.data import Dataset
 from sketchysgd.linalg import eigh_small, make_rng
@@ -12,8 +14,6 @@ from sketchysgd.synthetic import gaussian_dataset
 def make_oracle(task, n=30, p=8, l2=0.0, seed=0, sparse=False):
     ds = gaussian_dataset(n, p, task, seed=seed)
     if sparse:
-        import scipy.sparse as sp
-
         ds = Dataset(sp.csr_matrix(ds.features), ds.labels)
     return ProblemOracle(ds, task, l2)
 
@@ -162,6 +162,64 @@ def test_sparse_matches_dense(task):
     np.testing.assert_allclose(
         sparse.minibatch_hvp(w, batch, v), dense.minibatch_hvp(w, batch, v), atol=1e-14
     )
+
+
+def scipy_reference(oracle, w, batch, v):
+    """Gradient and vector HVP from the sliced matrix ``features[batch]``."""
+    feats = oracle.data.features[batch]
+    y = oracle.data.labels[batch]
+    z = np.asarray(feats @ w).ravel()
+    if oracle.task == "ridge":
+        coeff, d = z - y, np.ones(len(batch))
+    else:
+        coeff = -y * expit(-y * z)
+        s = expit(y * z)
+        d = s * (1.0 - s)
+    grad = np.asarray(feats.T @ coeff).ravel() / len(batch) + oracle.l2 * w
+    hvp = np.asarray(feats.T @ (np.asarray(feats @ v).ravel() * d)).ravel() / len(batch)
+    return grad, hvp
+
+
+def sparse_oracle_with_empty_row(task, n=40, p=25):
+    rng = make_rng(30)
+    keep = np.ones(n)
+    keep[3] = 0.0
+    a = sp.csr_matrix(sp.diags(keep) @ sp.random(n, p, density=0.2, random_state=31))
+    a.eliminate_zeros()
+    assert a.indptr[3] == a.indptr[4]
+    labels = np.where(rng.random(n) < 0.5, -1.0, 1.0) if task == "logistic" else rng.standard_normal(n)
+    return ProblemOracle(Dataset(a, labels), task, 0.05)
+
+
+BATCHES = {
+    "sorted": lambda rng, n: np.sort(rng.choice(n, 12, replace=False)),
+    "unsorted": lambda rng, n: rng.choice(n, 12, replace=False),
+    "duplicates": lambda rng, n: np.array([7, 2, 7, 7, 30, 2]),
+    "single": lambda rng, n: np.array([11]),
+    "empty-row": lambda rng, n: np.array([3]),
+    "with-empty-row": lambda rng, n: np.array([0, 3, 9]),
+    "full": lambda rng, n: np.arange(n),
+}
+
+
+@pytest.mark.parametrize("task", ["ridge", "logistic"])
+@pytest.mark.parametrize("kind", sorted(BATCHES))
+def test_sparse_products_bit_identical_to_sliced_matrix(task, kind):
+    oracle = sparse_oracle_with_empty_row(task)
+    rng = make_rng(32)
+    w, v = rng.standard_normal(oracle.p), rng.standard_normal(oracle.p)
+    batch = BATCHES[kind](rng, oracle.n)
+    grad, hvp = scipy_reference(oracle, w, batch, v)
+    assert np.array_equal(oracle.minibatch_gradient(w, batch), grad)
+    assert np.array_equal(oracle.minibatch_hvp(w, batch, v), hvp)
+
+
+@pytest.mark.parametrize("task", ["ridge", "logistic"])
+def test_dense_full_batch_bit_identical_to_sliced_matrix(task):
+    oracle = make_oracle(task, n=60, p=7, l2=0.05, seed=33)
+    w = make_rng(34).standard_normal(7)
+    grad, _ = scipy_reference(oracle, w, np.arange(60), w)
+    assert np.array_equal(oracle.minibatch_gradient(w, np.arange(60)), grad)
 
 
 def test_smoothness_bound_unit_rows():
