@@ -70,9 +70,11 @@ from .data import (
 )
 from .diagnostics import conditioning_report
 from .linalg import DiagnosticCapError
+from .nystrom import SketchNotPsdError
 from .optimizers import (
     AUTO,
     DivergenceError,
+    LearningRateError,
     MetricsRecord,
     OptimizerConfig,
     resolve_config,
@@ -180,9 +182,11 @@ def _validate_optimizer(spec, i, problems):
             problems.append(f"{tag}: {key} must be a positive number or 'auto'")
     if "update_freq" in spec:
         u = spec["update_freq"]
-        ok = u in (AUTO, "inf") or (_is_num(u) and u >= 1)
+        ok = u in (AUTO, "inf") or (
+            _is_num(u) and u >= 1 and (isinstance(u, int) or u == math.inf or u.is_integer())
+        )
         if not ok:
-            problems.append(f"{tag}: update_freq must be >= 1, 'inf', or 'auto'")
+            problems.append(f"{tag}: update_freq must be an integer >= 1, 'inf', or 'auto'")
     if "learning_rate" in spec and spec["learning_rate"] is not None:
         lr = spec["learning_rate"]
         if not (lr == AUTO or (_is_num(lr) and lr > 0)):
@@ -510,13 +514,21 @@ def file_sha256(path) -> str:
 
 
 def environment() -> dict:
-    """Interpreter and library versions plus the thread settings in effect."""
-    return {
+    """Interpreter and library versions, BLAS/LAPACK builds and thread settings."""
+    env = {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "threads": {name: os.environ.get(name) for name in THREAD_VARIABLES},
     }
+    try:
+        builds = np.show_config(mode="dicts")["Build Dependencies"]
+    except TypeError:  # NumPy before 1.26 can only print its configuration
+        builds = {}
+    for lib in ("blas", "lapack"):
+        build = builds.get(lib, {})
+        env[lib] = {key: build[key] for key in ("name", "version", "openblas configuration") if key in build}
+    return env
 
 
 def cmd_run(args) -> int:
@@ -645,7 +657,7 @@ def main(argv=None) -> int:
     except DiagnosticCapError as exc:
         print(f"caps exceeded: {exc}", file=sys.stderr)
         return EXIT_CAPS
-    except DivergenceError as exc:
+    except (DivergenceError, LearningRateError, SketchNotPsdError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

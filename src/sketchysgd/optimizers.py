@@ -161,8 +161,8 @@ def _validate_resolved(cfg: OptimizerConfig, n: int) -> None:
         raise ValueError("power_iters must be at least 1")
     if not cfg.max_passes > 0:
         raise ValueError("max_passes must be positive")
-    if not (cfg.update_freq >= 1):
-        raise ValueError("update_freq must be at least 1")
+    if not (cfg.update_freq >= 1 and (math.isinf(cfg.update_freq) or cfg.update_freq.is_integer())):
+        raise ValueError("update_freq must be an integer >= 1 or infinite")
     if cfg.mode not in ("practical", "theoretical"):
         raise ValueError(f"unknown mode {cfg.mode!r}")
     if cfg.stage_length < 1:

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 import scipy
 
+from sketchysgd import cli
 from sketchysgd.cli import file_sha256, main, records_to_csv, validate_config
 from sketchysgd.data import save_libsvm
-from sketchysgd.optimizers import MetricsRecord
+from sketchysgd.nystrom import SketchNotPsdError
+from sketchysgd.optimizers import LearningRateError, MetricsRecord
 from sketchysgd.synthetic import gaussian_dataset, planted_least_squares
 
 
@@ -68,6 +70,11 @@ def test_manifest_records_digest_versions_and_threads(workspace, monkeypatch):
     assert env["threads"]["OPENBLAS_NUM_THREADS"] == "1"
     assert env["threads"]["MKL_NUM_THREADS"] is None
     assert set(env["threads"]) >= {"OMP_NUM_THREADS", "SKETCHYSGD_NUM_THREADS"}
+    builds = np.show_config(mode="dicts")["Build Dependencies"]
+    for lib in ("blas", "lapack"):
+        assert env[lib]["name"] == builds[lib]["name"]
+        assert env[lib]["version"] == builds[lib]["version"]
+        assert env[lib].get("openblas configuration") == builds[lib].get("openblas configuration")
 
 
 @pytest.mark.parametrize("size", [0, 5, (1 << 20) - 1, 1 << 20, (5 << 19) + 3])
@@ -197,6 +204,30 @@ def test_divergent_job_writes_partial_and_exits_3(workspace, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     statuses = {job["file"]: job["status"] for job in manifest["jobs"]}
     assert statuses["sgd_seed0.csv.partial"] == "diverged"
+
+
+@pytest.mark.parametrize(
+    "error", [LearningRateError("learning-rate estimation failed"), SketchNotPsdError("sketch not PSD")]
+)
+def test_library_runtime_errors_exit_3(workspace, monkeypatch, capsys, error):
+    _, cfg_path, _ = workspace
+
+    def failing_run(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "sketchysgd_run", failing_run)
+    assert main(["run", str(cfg_path)]) == 3
+    assert capsys.readouterr().err == f"runtime error: {error}\n"
+
+
+def test_validate_rejects_fractional_update_freq(workspace, capsys):
+    tmp_path, _, config = workspace
+    config = dict(config, optimizers=[{"name": "sketchysgd", "update_freq": 1.5}])
+    assert main(["validate", str(write_config(tmp_path, config, "frac.json"))]) == 2
+    assert "update_freq must be an integer" in capsys.readouterr().err
+    for ok in (3, 3.0, "inf", "auto"):
+        config = dict(config, optimizers=[{"name": "sketchysgd", "update_freq": ok}])
+        assert main(["validate", str(write_config(tmp_path, config, "whole.json"))]) == 0
 
 
 def test_diagnose_identity_hessian(tmp_path, capsys):

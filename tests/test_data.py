@@ -1,10 +1,14 @@
 import gzip
+import io
+import random
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from sketchysgd import data as data_module
 from sketchysgd.data import (
+    PARSE_CHUNK_LINES,
     Dataset,
     FeatureMap,
     LibsvmParseError,
@@ -88,6 +92,190 @@ def test_load_libsvm_gzip(tmp_path):
     a = load_libsvm(raw, num_features=6)
     b = load_libsvm(zipped, num_features=6)
     assert (a.features != b.features).nnz == 0
+
+
+# The line-at-a-time parser that the chunked one replaced, kept as the
+# reference the chunked parser must match to the bit.
+def reference_parse_line(line, lineno):
+    parts = line.split()
+    try:
+        label = float(parts[0])
+    except ValueError:
+        raise LibsvmParseError(f"line {lineno}: malformed label token {parts[0]!r}") from None
+    idxs = []
+    vals = []
+    prev = 0
+    for token in parts[1:]:
+        head, sep, tail = token.partition(":")
+        if not sep:
+            raise LibsvmParseError(f"line {lineno}: malformed token {token!r}")
+        try:
+            idx = int(head)
+            val = float(tail)
+        except ValueError:
+            raise LibsvmParseError(f"line {lineno}: malformed token {token!r}") from None
+        if idx == 0:
+            raise LibsvmParseError(f"line {lineno}: feature indices are 1-based, got 0")
+        if idx <= prev:
+            raise LibsvmParseError(
+                f"line {lineno}: feature index {idx} does not increase past {prev}"
+            )
+        prev = idx
+        idxs.append(idx - 1)
+        vals.append(val)
+    return label, idxs, vals
+
+
+def reference_parse(source, num_features=None):
+    labels = []
+    indptr = [0]
+    indices = []
+    data = []
+    max_idx = 0
+    for lineno, raw in enumerate(io.StringIO(source) if isinstance(source, str) else source, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        label, idxs, vals = reference_parse_line(line, lineno)
+        labels.append(label)
+        indices.extend(idxs)
+        data.extend(vals)
+        indptr.append(len(indices))
+        if idxs:
+            max_idx = max(max_idx, idxs[-1] + 1)
+
+    p = max_idx if num_features is None else int(num_features)
+    if num_features is not None and max_idx > p:
+        raise LibsvmParseError(
+            f"feature index {max_idx} exceeds the declared feature count {p}"
+        )
+    mat = sp.csr_matrix(
+        (np.asarray(data, dtype=np.float64), np.asarray(indices, dtype=np.int64), np.asarray(indptr, dtype=np.int64)),
+        shape=(len(labels), p),
+    )
+    return Dataset(mat, np.asarray(labels, dtype=np.float64))
+
+
+def assert_same_parse(got, want):
+    assert got.features.shape == want.features.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got.features, name), getattr(want.features, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.labels.dtype == want.labels.dtype
+    assert got.labels.tobytes() == want.labels.tobytes()
+
+
+LABELS = ["+1", "-1", "1e0", "0.5", "1", "-2.75"]
+SPECIAL_VALUES = [
+    "4.9e-324",  # smallest subnormal
+    "2.2250738585072009e-308",  # largest subnormal
+    "1.7976931348623157e308",
+    "-0.0",
+    "0.12345678901234567",  # 17 significant digits
+    "-9.8765432109876543e-7",
+    "0.100000000000000005551115123125782702118158340454101562",
+    "7", "+.5", "5.", "1E-3", "-2e+2",
+]
+
+
+def random_libsvm_text(n_lines, seed):
+    """Plain libsvm text with every spacing, label and value form _parse_line accepts in bulk."""
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(n_lines):
+        if rng.random() < 0.03:
+            lines.append(rng.choice(["", "   ", "\t", " \t "]) + "\n")
+            continue
+        idxs = sorted(set(rng.randrange(1, 70000) for _ in range(rng.randrange(6))))  # some >= 2**15
+        line = rng.choice(LABELS)
+        for idx in idxs:
+            if rng.random() < 0.3:
+                val = rng.choice(SPECIAL_VALUES)
+            else:
+                val = repr(rng.gauss(0.0, 1.0) * 10.0 ** rng.randrange(-12, 12))
+            line += rng.choice([" ", "\t", "  ", " \t"]) + f"{idx}:{val}"
+        if rng.random() < 0.1:
+            line = " " + line + "  "
+        lines.append(line + ("\r\n" if rng.random() < 0.2 else "\n"))
+    return "".join(lines)
+
+
+def test_chunked_parse_matches_reference_on_every_source(tmp_path, monkeypatch):
+    text = random_libsvm_text(2 * PARSE_CHUNK_LINES + 2000, seed=5)
+    want = reference_parse(text)
+    assert want.n > 2 * PARSE_CHUNK_LINES
+    raw = tmp_path / "data.svm"
+    raw.write_bytes(text.encode())
+    zipped = tmp_path / "data.svm.gz"
+    zipped.write_bytes(gzip.compress(text.encode()))
+
+    def line_at_a_time(lines, linenos):
+        raise AssertionError("plain text left the vectorised path")
+
+    monkeypatch.setattr(data_module, "_parse_lines", line_at_a_time)
+    assert_same_parse(parse_libsvm(text), want)
+    assert_same_parse(parse_libsvm(io.StringIO(text)), want)
+    assert_same_parse(parse_libsvm(text.split("\n")), want)
+    assert_same_parse(load_libsvm(raw), want)
+    assert_same_parse(load_libsvm(zipped), want)
+    assert_same_parse(parse_libsvm(text, num_features=80000), reference_parse(text, num_features=80000))
+
+
+PLAIN_PREFIX = "1 1:0.5 7:2\n-1\n" * (PARSE_CHUNK_LINES // 2) + "1 3:1\n" * 5
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "1 1:1.5+3",
+        "1.5+3 1:1",
+        "1 1e3:1",
+        "1 1.0:1",
+        "1 1:2:3",
+        "1 2:1 1:",
+        "1 :1",
+        "1 2: 3:1.5+3",
+        "1:0 5",
+        "1 0:1",
+        "1 4:1 4:2",
+        "1 5:1 nocolon",
+        "1 2:abc",
+        "1 0:1\n1 99999999999999999999:1",
+    ],
+)
+def test_chunked_parse_rejects_like_reference(line):
+    text = PLAIN_PREFIX + line + "\n1 1:1\n"
+    with pytest.raises(LibsvmParseError) as want:
+        reference_parse(text)
+    with pytest.raises(LibsvmParseError) as got:
+        parse_libsvm(text)
+    assert str(got.value) == str(want.value)
+    assert f"line {PARSE_CHUNK_LINES + 6}:" in str(got.value)
+
+
+def test_chunked_parse_keeps_embedded_newlines_in_one_line():
+    # An item of an iterable source is one line even if it holds a newline.
+    lines = PLAIN_PREFIX.splitlines() + ["1 2:1\n-1 3:1", "1 1:1"]
+    with pytest.raises(LibsvmParseError) as want:
+        reference_parse(lines)
+    with pytest.raises(LibsvmParseError) as got:
+        parse_libsvm(lines)
+    assert str(got.value) == str(want.value) == f"line {PARSE_CHUNK_LINES + 6}: malformed token '-1'"
+
+
+def test_chunked_parse_overflowing_index_like_reference():
+    text = PLAIN_PREFIX + "1 99999999999999999999:1\n"
+    with pytest.raises(OverflowError) as want:
+        reference_parse(text)
+    with pytest.raises(OverflowError) as got:
+        parse_libsvm(text)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("line", ["1 +3:1", "1 1:1_0", "1 3:١", "1\x1c2:1", "1 1:1\r2:2"])
+def test_chunked_parse_reads_unusual_tokens_like_reference(line):
+    text = PLAIN_PREFIX + line + "\n1 1:1\n"
+    assert_same_parse(parse_libsvm(text), reference_parse(text))
 
 
 def test_normalize_rows_simple():

@@ -58,6 +58,10 @@ def test_resolve_config_validation():
         resolve_config(OptimizerConfig(mode="theoretical"), oracle)  # needs a learning rate
     with pytest.raises(ValueError):
         resolve_config(OptimizerConfig(rho=-1.0), oracle)
+    with pytest.raises(ValueError, match="update_freq"):
+        resolve_config(OptimizerConfig(update_freq=1.5), oracle)
+    for whole in (3, 3.0, math.inf, "inf"):
+        assert resolve_config(OptimizerConfig(update_freq=whole), oracle).update_freq == float(whole)
 
 
 def test_power_iteration_identity_operator():
