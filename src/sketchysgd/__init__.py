@@ -61,6 +61,7 @@ from .optimizers import (
     RunResult,
     estimate_learning_rate,
     preconditioned_top_eigenvalue,
+    resolve_baseline_config,
     resolve_config,
     sgd_run,
     sketchysgd_run,

@@ -35,6 +35,19 @@ Config schema (JSON object)::
                     "iterates": ["results/sketchysgd_seed0_iterate.npy"]}
     }
 
+These keys take ``"auto"``, their default, which resolves against the
+loaded problem (n training rows, p features, L the smoothness bound) to:
+``l2`` 1e-2/n; ``rank`` min(10, p); ``rho`` 1e-3*L; ``grad_batch_size`` (every
+optimizer) min(256, n); ``hess_batch_size`` floor(sqrt(n)); ``update_freq``
+never for ridge (as does ``"inf"``) and ceil(n/grad_batch_size) for
+logistic; ``stage_length`` ceil(n/grad_batch_size); ``learning_rate``
+re-estimated at every refresh for SketchySGD and max(1/(3L), 1/(2(L +
+n*l2))) for SGD and SVRG.  ``lr_scale`` and ``power_iters`` take numbers
+only.  ``validate`` and ``run`` resolve every (optimizer, seed) job before
+the first one starts: a setting that does not fit the data, such as a rank
+above p or a batch size above n, is a config error,
+``optimizers[i] (<label>): <reason>``, and ``run`` then writes no file.
+
 Every number in an output CSV is reproducible from the manifest plus the
 dataset file alone, at the BLAS thread count the manifest records; two
 runs of one config differ only in the ``wall_seconds`` column.
@@ -50,7 +63,7 @@ import math
 import os
 import platform
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +90,7 @@ from .optimizers import (
     LearningRateError,
     MetricsRecord,
     OptimizerConfig,
+    resolve_baseline_config,
     resolve_config,
     sgd_run,
     sketchysgd_run,
@@ -91,11 +105,13 @@ EXIT_RUNTIME = 3
 EXIT_CAPS = 4
 
 OPTIMIZER_NAMES = ("sketchysgd", "sketchysgd-theoretical", "sgd", "svrg")
+BASELINES = ("sgd", "svrg")
 
-_SKETCHY_KEYS = {
-    "name", "label", "rank", "rho", "grad_batch_size", "hess_batch_size",
-    "update_freq", "lr_scale", "power_iters", "learning_rate", "stage_length",
-}
+# A SketchySGD entry sets any hyperparameter of OptimizerConfig; the run-wide
+# max_passes and seeds and the mode (from the name) come from elsewhere.
+_SKETCHY_KEYS = {"name", "label"} | (
+    {f.name for f in fields(OptimizerConfig)} - {"max_passes", "seed", "mode"}
+)
 _FIRST_ORDER_KEYS = {"name", "label", "learning_rate", "grad_batch_size"}
 
 
@@ -174,12 +190,16 @@ def _validate_optimizer(spec, i, problems):
     extra = set(spec) - allowed
     if extra:
         problems.append(f"{tag}: unknown keys for {name}: {sorted(extra)}")
-    for key in ("rank", "grad_batch_size", "hess_batch_size", "power_iters", "stage_length"):
-        if key in spec and spec[key] != AUTO and (not isinstance(spec[key], int) or spec[key] < 1):
-            problems.append(f"{tag}: {key} must be a positive integer or 'auto'")
+    for key in ("rank", "grad_batch_size", "hess_batch_size", "stage_length", "power_iters"):
+        auto = "" if key == "power_iters" else " or 'auto'"
+        value = spec.get(key, 1)
+        if not (auto and value == AUTO) and (not isinstance(value, int) or value < 1):
+            problems.append(f"{tag}: {key} must be a positive integer{auto}")
     for key in ("rho", "lr_scale"):
-        if key in spec and spec[key] != AUTO and not (_is_num(spec[key]) and spec[key] > 0):
-            problems.append(f"{tag}: {key} must be a positive number or 'auto'")
+        auto = "" if key == "lr_scale" else " or 'auto'"
+        value = spec.get(key, 1)
+        if not (auto and value == AUTO) and not (_is_num(value) and value > 0):
+            problems.append(f"{tag}: {key} must be a positive number{auto}")
     if "update_freq" in spec:
         u = spec["update_freq"]
         ok = u in (AUTO, "inf") or (
@@ -320,8 +340,6 @@ def _apply_preprocessing(ds: Dataset, steps) -> tuple[Dataset, Dataset | None]:
             train = random_features(train, fmap)
             test = random_features(test, fmap) if test is not None else None
         elif name == "split":
-            if test is not None:
-                raise ConfigError(["preprocessing: dataset is already split"])
             train, test = split(train, args["fraction"], args.get("seed", 0))
     return train, test
 
@@ -339,25 +357,6 @@ def load_problem(config: dict, base_dir: Path):
     return oracle, test, path
 
 
-def _optimizer_config(spec: dict, defaults: dict) -> OptimizerConfig:
-    mode = "theoretical" if spec["name"] == "sketchysgd-theoretical" else "practical"
-    lr = spec.get("learning_rate", AUTO if mode == "theoretical" else None)
-    return OptimizerConfig(
-        rank=spec.get("rank", 10),
-        rho=spec.get("rho", AUTO),
-        grad_batch_size=spec.get("grad_batch_size", AUTO),
-        hess_batch_size=spec.get("hess_batch_size", AUTO),
-        update_freq=math.inf if spec.get("update_freq") == "inf" else spec.get("update_freq", AUTO),
-        lr_scale=spec.get("lr_scale", 0.5),
-        power_iters=spec.get("power_iters", 10),
-        max_passes=defaults["max_passes"],
-        seed=defaults["seed"],
-        mode=mode,
-        stage_length=spec.get("stage_length", AUTO),
-        learning_rate=lr,
-    )
-
-
 def _jsonable(value):
     if isinstance(value, float):
         if math.isinf(value):
@@ -372,25 +371,71 @@ def _jsonable(value):
     return value
 
 
-def resolve_job_config(spec: dict, oracle: ProblemOracle, max_passes, eval_every, seed) -> dict:
-    """Fully materialized hyperparameters for one (optimizer, seed) job."""
-    name = spec["name"]
-    resolved = {"name": name, "label": spec.get("label", name), "seed": seed}
-    if name in ("sgd", "svrg"):
-        lr = spec.get("learning_rate", AUTO)
-        if lr in (AUTO, None):
-            lr = oracle.sgd_default_learning_rate()
-        resolved.update(
-            learning_rate=float(lr),
-            grad_batch_size=min(int(spec.get("grad_batch_size", 256)), oracle.n),
-            max_passes=max_passes,
-            eval_every=eval_every,
+@dataclass(frozen=True)
+class Job:
+    """One (optimizer, seed) job, resolved against the loaded problem.
+
+    ``config`` is both what the runner is called with and what the
+    manifest's ``resolved`` entry is written from.
+    """
+
+    name: str
+    label: str
+    seed: int
+    config: OptimizerConfig
+    eval_every: float
+
+    def resolved(self) -> dict:
+        entry = {"name": self.name, "label": self.label, "seed": self.seed}
+        cfg = self.config
+        if self.name in BASELINES:
+            entry.update(learning_rate=cfg.learning_rate, grad_batch_size=cfg.grad_batch_size,
+                         max_passes=cfg.max_passes)
+        else:
+            entry.update(asdict(cfg))
+        entry["eval_every"] = self.eval_every
+        return _jsonable(entry)
+
+    def run(self, oracle: ProblemOracle, test_data: Dataset | None):
+        # Looked up in this module's globals at call time, where tests and the
+        # benchmark's tracer replace them.
+        cfg = self.config
+        if self.name == "sketchysgd":
+            return sketchysgd_run(oracle, cfg, test_data=test_data, eval_every=self.eval_every)
+        if self.name == "sketchysgd-theoretical":
+            return sketchysgd_theoretical_run(oracle, cfg, test_data=test_data)
+        return (sgd_run if self.name == "sgd" else svrg_run)(
+            oracle, learning_rate=cfg.learning_rate, grad_batch_size=cfg.grad_batch_size,
+            max_passes=cfg.max_passes, seed=cfg.seed, test_data=test_data,
+            eval_every=self.eval_every,
         )
-    else:
-        cfg = resolve_config(_optimizer_config(spec, {"max_passes": max_passes, "seed": seed}), oracle)
-        resolved.update(asdict(cfg))
-        resolved["eval_every"] = eval_every
-    return _jsonable(resolved)
+
+
+def resolve_jobs(config: dict, oracle: ProblemOracle) -> list[Job]:
+    """Resolve every (optimizer, seed) job, ordered by optimizer then seed.
+
+    Raises :class:`ConfigError` with one ``optimizers[i] (<label>): <reason>``
+    line per optimizer whose settings do not fit the problem.
+    """
+    max_passes = float(config.get("max_passes", 40.0))
+    eval_every = float(config.get("eval_every", 1.0))
+    jobs, problems = [], []
+    for i, spec in enumerate(config["optimizers"]):
+        name = spec["name"]
+        label = spec.get("label", name)
+        settings = {key: value for key, value in spec.items() if key not in ("name", "label")}
+        if name == "sketchysgd-theoretical":
+            settings = {"learning_rate": AUTO, **settings, "mode": "theoretical"}
+        resolve = resolve_baseline_config if name in BASELINES else resolve_config
+        try:
+            for seed in config["seeds"]:
+                cfg = OptimizerConfig(max_passes=max_passes, seed=seed, **settings)
+                jobs.append(Job(name, label, seed, resolve(cfg, oracle), eval_every))
+        except ValueError as exc:
+            problems.append(f"optimizers[{i}] ({label}): {exc}")
+    if problems:
+        raise ConfigError(problems)
+    return jobs
 
 
 # ---------------------------------------------------------------------------
@@ -414,49 +459,25 @@ def records_to_csv(records: list[MetricsRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_job(spec, seed, oracle, test_data, max_passes, eval_every):
-    name = spec["name"]
-    if name == "sgd":
-        lr = spec.get("learning_rate", AUTO)
-        lr = None if lr in (AUTO, None) else float(lr)
-        return sgd_run(
-            oracle, learning_rate=lr, grad_batch_size=spec.get("grad_batch_size", 256),
-            max_passes=max_passes, seed=seed, test_data=test_data, eval_every=eval_every,
-        )
-    if name == "svrg":
-        lr = spec.get("learning_rate", AUTO)
-        lr = None if lr in (AUTO, None) else float(lr)
-        return svrg_run(
-            oracle, learning_rate=lr, grad_batch_size=spec.get("grad_batch_size", 256),
-            max_passes=max_passes, seed=seed, test_data=test_data, eval_every=eval_every,
-        )
-    cfg = _optimizer_config(spec, {"max_passes": max_passes, "seed": seed})
-    if name == "sketchysgd-theoretical":
-        return sketchysgd_theoretical_run(oracle, cfg, test_data=test_data)
-    return sketchysgd_run(oracle, cfg, test_data=test_data, eval_every=eval_every)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
-def _load_config(path: str):
-    config_path = Path(path)
+def _load(args):
+    """The checked config with the command-line overrides, and its problem."""
+    config_path = Path(args.config)
     try:
         text = config_path.read_text()
     except OSError as exc:
-        raise ConfigError([f"config: cannot read {path}: {exc}"]) from exc
+        raise ConfigError([f"config: cannot read {args.config}: {exc}"]) from exc
     try:
         config = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"config: invalid JSON: {exc}"]) from exc
-    problems = validate_config(config, config_path.parent)
+    base_dir = config_path.parent
+    problems = validate_config(config, base_dir)
     if problems:
         raise ConfigError(problems)
-    return config, config_path.parent
-
-
-def _apply_overrides(config: dict, args) -> dict:
     config = dict(config)
     if args.output_dir is not None:
         config["output_dir"] = args.output_dir
@@ -466,15 +487,12 @@ def _apply_overrides(config: dict, args) -> dict:
         config["max_passes"] = args.max_passes
     if args.seed is not None:
         config["seeds"] = [args.seed]
-    return config
+    return (config, base_dir, *load_problem(config, base_dir))
 
 
 def cmd_validate(args) -> int:
-    config, base_dir = _load_config(args.config)
-    config = _apply_overrides(config, args)
-    oracle, test, _ = load_problem(config, base_dir)
-    max_passes = float(config.get("max_passes", 40.0))
-    eval_every = float(config.get("eval_every", 1.0))
+    config, _base_dir, oracle, test, _path = _load(args)
+    jobs = resolve_jobs(config, oracle)
     resolved = {
         "task": oracle.task,
         "n_train": oracle.n,
@@ -482,13 +500,11 @@ def cmd_validate(args) -> int:
         "p": oracle.p,
         "l2": oracle.l2,
         "smoothness_upper_bound": oracle.smoothness_upper_bound,
-        "max_passes": max_passes,
-        "eval_every": eval_every,
+        "max_passes": jobs[0].config.max_passes,
+        "eval_every": jobs[0].eval_every,
         "seeds": config["seeds"],
-        "optimizers": [
-            resolve_job_config(spec, oracle, max_passes, eval_every, config["seeds"][0])
-            for spec in config["optimizers"]
-        ],
+        # the first seed's job of every optimizer
+        "optimizers": [job.resolved() for job in jobs[:: len(config["seeds"])]],
     }
     print(json.dumps(_jsonable(resolved), indent=2))
     return EXIT_OK
@@ -532,33 +548,22 @@ def environment() -> dict:
 
 
 def cmd_run(args) -> int:
-    config, base_dir = _load_config(args.config)
-    config = _apply_overrides(config, args)
-    oracle, test, dataset_path = load_problem(config, base_dir)
-    max_passes = float(config.get("max_passes", 40.0))
-    eval_every = float(config.get("eval_every", 1.0))
+    config, _base_dir, oracle, test, dataset_path = _load(args)
+    jobs = resolve_jobs(config, oracle)
     out_dir = Path(config.get("output_dir", "results"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    jobs = [
-        (spec, seed)
-        for spec in config["optimizers"]
-        for seed in config["seeds"]
-    ]
-
     def execute(job):
-        spec, seed = job
-        label = spec.get("label", spec["name"])
-        base = out_dir / f"{label}_seed{seed}"
+        base = out_dir / f"{job.label}_seed{job.seed}"
         try:
-            result = _run_job(spec, seed, oracle, test, max_passes, eval_every)
+            result = job.run(oracle, test)
         except DivergenceError as exc:
             Path(f"{base}.csv.partial").write_text(records_to_csv(exc.records))
-            return label, seed, None, f"{label} seed {seed}: {exc}"
+            return None, f"{job.label} seed {job.seed}: {exc}"
         Path(f"{base}.csv").write_text(records_to_csv(result.records))
         if config.get("save_iterates", False):
             np.save(f"{base}_iterate.npy", result.w)
-        return label, seed, result, None
+        return result, None
 
     workers = max(1, int(os.environ.get("SKETCHYSGD_NUM_THREADS", "1")))
     if workers > 1 and len(jobs) > 1:
@@ -580,36 +585,32 @@ def cmd_run(args) -> int:
         "config": _jsonable(config),
         "jobs": [
             {
-                "file": f"{label}_seed{seed}.csv" + ("" if err is None else ".partial"),
-                "resolved": resolve_job_config(spec, oracle, max_passes, eval_every, seed),
+                "file": f"{job.label}_seed{job.seed}.csv" + ("" if err is None else ".partial"),
+                "resolved": job.resolved(),
                 "status": "ok" if err is None else "diverged",
                 "passes": result.passes if result is not None else None,
             }
-            for (spec, seed), (label, _s, result, err) in zip(jobs, outcomes)
+            for job, (result, err) in zip(jobs, outcomes)
         ],
     }
     (out_dir / "manifest.json").write_text(json.dumps(_jsonable(manifest), indent=2) + "\n")
 
-    failures = [err for (_l, _s, _r, err) in outcomes if err is not None]
+    failures = [err for _result, err in outcomes if err is not None]
     for err in failures:
         print(err, file=sys.stderr)
     return EXIT_RUNTIME if failures else EXIT_OK
 
 
 def cmd_diagnose(args) -> int:
-    config, base_dir = _load_config(args.config)
-    config = _apply_overrides(config, args)
-    oracle, _test, _path = load_problem(config, base_dir)
+    config, base_dir, oracle, _test, _path = _load(args)
+    # The first SketchySGD job's preconditioner, else the defaults.
+    cfg = next(
+        (job.config for job in resolve_jobs(config, oracle) if job.name.startswith("sketchysgd")),
+        OptimizerConfig(seed=config["seeds"][0]),
+    )
     diag = config.get("diagnose", {})
     out_dir = Path(config.get("output_dir", "results"))
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    sketchy = next(
-        (s for s in config["optimizers"] if s["name"].startswith("sketchysgd")), {"name": "sketchysgd"}
-    )
-    cfg = _optimizer_config(
-        sketchy, {"max_passes": float(config.get("max_passes", 40.0)), "seed": config["seeds"][0]}
-    )
 
     points = [("initial", np.zeros(oracle.p))]
     for q in diag.get("iterates", []):

@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import DiagnosticCapError, eigh_small, make_rng, top_eig_diag_plus_rank1
-from .nystrom import NystromApprox, rand_nys_approx
-from .oracles import ProblemOracle, sample_batch
-from .optimizers import OptimizerConfig, resolve_config
+from .nystrom import NystromApprox
+from .oracles import ProblemOracle
+from .optimizers import OptimizerConfig, resolve_config, sketch_hessian
 
 #: Dense diagnostics refuse feature dimensions beyond this.
 DENSE_CAP_P = 2048
@@ -274,16 +274,7 @@ def conditioning_report(
     cfg = resolve_config(config if config is not None else OptimizerConfig(), oracle)
     _check_caps(oracle, need_samples=compute_tau)
     w = np.asarray(w, dtype=np.float64)
-    rng = make_rng(cfg.seed)
-    batch = sample_batch(rng, oracle.n, cfg.hess_batch_size)
-    nys = rand_nys_approx(
-        lambda v: oracle.minibatch_hvp(w, batch, v),
-        oracle.p,
-        cfg.rank,
-        rng,
-        anchor_w=w,
-        batch=batch,
-    )
+    nys = sketch_hessian(oracle, cfg, w, make_rng(cfg.seed))
     return sandwich_check(
         oracle, w, nys, cfg.rho, top_m=top_m, compute_tau=compute_tau, d_eff_betas=d_eff_betas
     )

@@ -44,15 +44,13 @@ class NystromApprox:
     """Rank-r eigenpair factorization of a sketched PSD operator.
 
     ``basis`` is p x r with orthonormal columns and ``eigenvalues`` holds the
-    r nonnegative eigenvalue estimates in descending order.  ``anchor_w`` and
-    ``batch`` record where the underlying Hessian was evaluated; both may be
-    ``None`` for synthetic operators.  Instances are immutable and safe to
-    apply concurrently.
+    r nonnegative eigenvalue estimates in descending order.  ``batch`` records
+    the Hessian batch behind the sketch; it is ``None`` for synthetic
+    operators.  Instances are immutable and safe to apply concurrently.
     """
 
     basis: np.ndarray
     eigenvalues: np.ndarray
-    anchor_w: np.ndarray | None = None
     batch: np.ndarray | None = None
     shift: float = 0.0
 
@@ -99,7 +97,6 @@ def rand_nys_approx(
     p: int,
     rank: int,
     rng: Rng,
-    anchor_w: np.ndarray | None = None,
     batch: np.ndarray | None = None,
 ) -> NystromApprox:
     """Build a rank-r Nystrom approximation from blocked operator products.
@@ -133,7 +130,7 @@ def rand_nys_approx(
     b = solve_triangular(chol, sketch.T, trans="T", lower=False).T
     basis, sigma = thin_svd(b)
     eigenvalues = np.maximum(sigma * sigma - nu, 0.0)
-    return NystromApprox(basis, eigenvalues, anchor_w=anchor_w, batch=batch, shift=float(nu))
+    return NystromApprox(basis, eigenvalues, batch=batch, shift=float(nu))
 
 
 def _check_rho(rho: float) -> float:

@@ -1,19 +1,23 @@
 """Preconditioned and plain stochastic gradient optimizers.
 
-The main loop is minibatch SGD whose search direction is reshaped by the
-regularized Nystrom approximation of a subsampled Hessian: every
-``update_freq`` iterations a fresh Hessian batch is sketched at the current
-iterate and the learning rate is re-estimated as ``lr_scale`` over the top
-eigenvalue of the preconditioned minibatch Hessian, found by randomized
-powering on an independent batch.  A staged variant with periodic iterate
-averaging and a fixed step size is provided alongside SGD and SVRG
-baselines.
+Every runner is one loop, :func:`_drive`, made of four parts:
 
-All runners share the same bookkeeping: a pass accountant that charges
-every sample-row touched by gradients, Hessian-vector products, and
-snapshot gradients (evaluation is instrumentation and is never charged),
-and a metrics recorder that snapshots losses on a pass schedule.  Runs are
-bit-reproducible from (config, seed, dataset) apart from wall-clock fields.
+- gradient estimator: minibatch, or SVRG-corrected
+  ``g_B(w) - g_B(w_snap) + mu`` with a full-gradient snapshot every
+  ``ceil(n/b_g)`` steps;
+- preconditioner: identity, or the regularized Nystrom approximation of a
+  subsampled Hessian, sketched at the iterate every ``update_freq`` steps;
+- step rule: fixed, or ``lr_scale`` over the top preconditioned eigenvalue,
+  estimated at each refresh by randomized powering on an independent batch;
+- averaging: none, or per stage of ``stage_length`` steps.
+
+SketchySGD is minibatch + Nystrom + estimated step; its theoretical variant
+adds averaging; SGD and SVRG use the identity and a fixed step.  The loop
+counts every sample row touched by gradients, Hessian-vector products and
+snapshots (the pass accountant; evaluation is instrumentation and is never
+charged), and records losses on a pass schedule, or at every stage end when
+averaging.  Runs are bit-reproducible from (config, seed, dataset) apart
+from wall-clock fields.
 """
 
 from __future__ import annotations
@@ -55,7 +59,8 @@ class OptimizerConfig:
     """Hyperparameters for the preconditioned runs.
 
     String fields set to ``"auto"`` are materialized by
-    :func:`resolve_config`: ``rho`` becomes 1e-3 times the smoothness bound,
+    :func:`resolve_config`: ``rank`` becomes min(10, p), ``rho`` becomes
+    1e-3 times the smoothness bound, ``grad_batch_size`` becomes min(256, n),
     ``hess_batch_size`` becomes floor(sqrt(n)), ``update_freq`` becomes
     infinity for ridge (constant Hessian) and one pass for logistic, and
     ``stage_length`` becomes one pass worth of iterations.
@@ -63,9 +68,12 @@ class OptimizerConfig:
     ``learning_rate`` is ``None`` (practical mode: re-estimated at every
     preconditioner refresh), a float (held fixed, no estimation cost), or
     ``"auto"`` in theoretical mode (estimated once per refresh, then fixed).
+    The SGD and SVRG baselines read only ``grad_batch_size``,
+    ``learning_rate``, ``max_passes`` and ``seed``; see
+    :func:`resolve_baseline_config`.
     """
 
-    rank: int = 10
+    rank: int | str = AUTO
     rho: float | str = AUTO
     grad_batch_size: int | str = AUTO
     hess_batch_size: int | str = AUTO
@@ -113,10 +121,7 @@ class RunResult:
 def resolve_config(config: OptimizerConfig, oracle: ProblemOracle) -> OptimizerConfig:
     """Materialize every ``"auto"`` field against a concrete problem."""
     n = oracle.n
-    bg = config.grad_batch_size
-    if bg == AUTO:
-        bg = min(256, n)
-    bg = int(bg)
+    bg = _grad_batch_size(config.grad_batch_size, n)
     bh = config.hess_batch_size
     if bh == AUTO:
         bh = max(1, min(n, int(math.floor(math.sqrt(n)))))
@@ -136,21 +141,43 @@ def resolve_config(config: OptimizerConfig, oracle: ProblemOracle) -> OptimizerC
 
     resolved = replace(
         config,
+        rank=min(10, oracle.p) if config.rank == AUTO else config.rank,
         grad_batch_size=bg,
         hess_batch_size=bh,
         rho=rho,
         update_freq=u,
         stage_length=m,
     )
-    _validate_resolved(resolved, n)
+    _validate_resolved(resolved, n, oracle.p)
     return resolved
 
 
-def _validate_resolved(cfg: OptimizerConfig, n: int) -> None:
-    if cfg.rank < 1:
-        raise ValueError("rank must be at least 1")
-    if not 1 <= cfg.grad_batch_size <= n:
-        raise ValueError(f"gradient batch size {cfg.grad_batch_size} must lie in [1, {n}]")
+def resolve_baseline_config(config: OptimizerConfig, oracle: ProblemOracle) -> OptimizerConfig:
+    """Materialize the fields the SGD and SVRG baselines read.
+
+    ``grad_batch_size`` resolves as in :func:`resolve_config`.  A
+    ``learning_rate`` of ``None`` or ``"auto"`` becomes
+    ``max(1/(3L), 1/(2(L + n*l2)))`` with L the smoothness upper bound, the
+    standard default for variance-reduced solvers at this loss family.
+    """
+    lr = config.learning_rate
+    eta = oracle.sgd_default_learning_rate() if lr in (None, AUTO) else float(lr)
+    if not eta >= 0:
+        raise ValueError("learning rate must be nonnegative")
+    bg = _grad_batch_size(config.grad_batch_size, oracle.n)
+    return replace(config, grad_batch_size=bg, learning_rate=eta)
+
+
+def _grad_batch_size(value: int | str, n: int) -> int:
+    bg = min(256, n) if value == AUTO else int(value)
+    if not 1 <= bg <= n:
+        raise ValueError(f"gradient batch size {bg} must lie in [1, {n}]")
+    return bg
+
+
+def _validate_resolved(cfg: OptimizerConfig, n: int, p: int) -> None:
+    if not 1 <= cfg.rank <= p:
+        raise ValueError(f"rank {cfg.rank} must lie in [1, {p}]")
     if not 1 <= cfg.hess_batch_size <= n:
         raise ValueError(f"Hessian batch size {cfg.hess_batch_size} must lie in [1, {n}]")
     if not cfg.rho > 0:
@@ -175,30 +202,10 @@ def _validate_resolved(cfg: OptimizerConfig, n: int) -> None:
         raise ValueError("a fixed learning_rate must be positive")
 
 
-class _PassAccountant:
-    """Counts sample rows touched by optimization work, exactly.
-
-    Touches accumulate as an integer so that the total in passes equals the
-    analytic formula b_g*K/n + sum_j (r+q)*b_h/n (+1 per snapshot) to the
-    last bit.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.samples = 0
-
-    def charge(self, rows: int) -> None:
-        self.samples += int(rows)
-
-    @property
-    def passes(self) -> float:
-        return self.samples / self.n
-
-
 class _Recorder:
     """Evaluates and stores metrics on a pass schedule.
 
-    Evaluation is instrumentation: it is not charged to the pass accountant
+    Evaluation is instrumentation: it is not charged to the samples touched
     and its time is excluded from the wall-clock column.
     """
 
@@ -236,11 +243,6 @@ class _Recorder:
     def finalize(self, w, passes: float, wall: float, iteration: int) -> None:
         if not self.records or passes > self.records[-1].passes:
             self._evaluate(w, passes, wall, iteration)
-
-
-def _check_finite(w: np.ndarray, iteration: int, records) -> None:
-    if not np.all(np.isfinite(w)):
-        raise DivergenceError(iteration, records)
 
 
 def preconditioned_top_eigenvalue(
@@ -306,26 +308,108 @@ def estimate_learning_rate(
     return lr_scale / lam
 
 
-def _refresh_preconditioner(oracle, cfg, w, rng, accountant):
-    """Draw a Hessian batch, sketch it, and (optionally) refresh the step size."""
+def sketch_hessian(
+    oracle: ProblemOracle, cfg: OptimizerConfig, w: np.ndarray, rng: Rng
+) -> NystromApprox:
+    """Draw a Hessian batch and sketch the subsampled Hessian at ``w``.
+
+    ``cfg`` is resolved; this costs ``rank * hess_batch_size`` sample rows.
+    """
     batch = sample_batch(rng, oracle.n, cfg.hess_batch_size)
-    nys = rand_nys_approx(
-        lambda v: oracle.minibatch_hvp(w, batch, v),
-        oracle.p,
-        cfg.rank,
-        rng,
-        anchor_w=w,
-        batch=batch,
+    return rand_nys_approx(
+        lambda v: oracle.minibatch_hvp(w, batch, v), oracle.p, cfg.rank, rng, batch=batch
     )
-    accountant.charge(cfg.rank * cfg.hess_batch_size)
-    eta = None
-    if cfg.learning_rate is None or cfg.learning_rate == AUTO:
-        fresh = sample_batch(rng, oracle.n, cfg.hess_batch_size)
-        eta = estimate_learning_rate(
-            oracle, nys, cfg.rho, w, fresh, cfg.power_iters, rng, cfg.lr_scale
-        )
-        accountant.charge(cfg.power_iters * cfg.hess_batch_size)
-    return nys, eta
+
+
+def _drive(
+    oracle: ProblemOracle,
+    cfg: OptimizerConfig,
+    test_data: Dataset | None,
+    eval_every: float,
+    w0: np.ndarray | None,
+    precondition: bool = False,
+    svrg: bool = False,
+    average: bool = False,
+) -> RunResult:
+    """The optimization loop behind every runner; see the module docstring.
+
+    ``cfg`` is resolved.  Steps run until the samples touched reach
+    ``max_passes`` passes; the last stage of an averaged run may be cut
+    short.  The iterate is checked for finiteness and offered to the
+    recorder after every step, or after every stage when averaging.  Wall
+    time covers the optimization work only.
+    """
+    n, bg = oracle.n, cfg.grad_batch_size
+    rng = make_rng(cfg.seed)
+    w = np.zeros(oracle.p) if w0 is None else np.array(w0, dtype=np.float64)
+    recorder = _Recorder(oracle, test_data, eval_every)
+    recorder.finalize(w, 0.0, 0.0, 0)
+    record = recorder.finalize if average else recorder.maybe_record
+
+    nys = None
+    eta = cfg.learning_rate if isinstance(cfg.learning_rate, (int, float)) else None
+    estimate = precondition and eta is None
+    epoch = math.ceil(n / bg)
+    stage_sum, produced = np.zeros(oracle.p) if average else None, 0
+    # Sample rows touched, kept as an integer so that the passes equal the
+    # analytic b_g*K/n + sum_j (r+q)*b_h/n (+1 per snapshot) to the last bit.
+    touched = k = updates = lr_estimates = snapshots = 0
+    wall = 0.0
+    while touched / n < cfg.max_passes:
+        tic = time.perf_counter()
+        if svrg and k % epoch == 0:
+            w_snap = w.copy()
+            mu = oracle.minibatch_gradient(w_snap, np.arange(n, dtype=np.int64))
+            touched += n
+            snapshots += 1
+            wall += time.perf_counter() - tic
+            recorder.maybe_record(w, touched / n, wall, k)
+            if touched / n >= cfg.max_passes:
+                break
+            tic = time.perf_counter()
+        if precondition and (
+            k == 0 or (math.isfinite(cfg.update_freq) and k % int(cfg.update_freq) == 0)
+        ):
+            nys = sketch_hessian(oracle, cfg, w, rng)
+            touched += cfg.rank * cfg.hess_batch_size
+            updates += 1
+            if estimate:
+                fresh = sample_batch(rng, n, cfg.hess_batch_size)
+                eta = estimate_learning_rate(
+                    oracle, nys, cfg.rho, w, fresh, cfg.power_iters, rng, cfg.lr_scale
+                )
+                touched += cfg.power_iters * cfg.hess_batch_size
+                lr_estimates += 1
+        batch = sample_batch(rng, n, bg)
+        grad = oracle.minibatch_gradient(w, batch)
+        if svrg:
+            grad = grad - oracle.minibatch_gradient(w_snap, batch) + mu
+        touched += bg
+        w = w - eta * (precond_solve(nys, cfg.rho, grad) if precondition else grad)
+        k += 1
+        if average:
+            stage_sum += w
+            produced += 1
+            if produced < cfg.stage_length and touched / n < cfg.max_passes:
+                wall += time.perf_counter() - tic
+                continue
+            w, stage_sum, produced = stage_sum / produced, np.zeros(oracle.p), 0
+        wall += time.perf_counter() - tic
+        if not np.all(np.isfinite(w)):
+            raise DivergenceError(k, recorder.records)
+        record(w, touched / n, wall, k)
+    recorder.finalize(w, touched / n, wall, k)
+    return RunResult(
+        w=w,
+        records=recorder.records,
+        iterations=k,
+        precond_updates=updates,
+        lr_estimates=lr_estimates,
+        snapshots=snapshots,
+        samples_touched=touched,
+        n=n,
+        config=cfg if precondition else None,
+    )
 
 
 def sketchysgd_run(
@@ -346,46 +430,7 @@ def sketchysgd_run(
     cfg = resolve_config(config if config is not None else OptimizerConfig(), oracle)
     if cfg.mode != "practical":
         raise ValueError("sketchysgd_run handles mode='practical'; see sketchysgd_theoretical_run")
-    rng = make_rng(cfg.seed)
-    w = np.zeros(oracle.p) if w0 is None else np.array(w0, dtype=np.float64)
-    accountant = _PassAccountant(oracle.n)
-    recorder = _Recorder(oracle, test_data, eval_every)
-    recorder.finalize(w, 0.0, 0.0, 0)
-
-    nys = None
-    eta = cfg.learning_rate if isinstance(cfg.learning_rate, (int, float)) else None
-    k = 0
-    updates = 0
-    lr_estimates = 0
-    wall = 0.0
-    while accountant.passes < cfg.max_passes:
-        tic = time.perf_counter()
-        if k == 0 or (math.isfinite(cfg.update_freq) and k % int(cfg.update_freq) == 0):
-            nys, eta_new = _refresh_preconditioner(oracle, cfg, w, rng, accountant)
-            updates += 1
-            if eta_new is not None:
-                eta = eta_new
-                lr_estimates += 1
-        batch = sample_batch(rng, oracle.n, cfg.grad_batch_size)
-        grad = oracle.minibatch_gradient(w, batch)
-        accountant.charge(cfg.grad_batch_size)
-        w = w - eta * precond_solve(nys, cfg.rho, grad)
-        k += 1
-        wall += time.perf_counter() - tic
-        _check_finite(w, k, recorder.records)
-        recorder.maybe_record(w, accountant.passes, wall, k)
-    recorder.finalize(w, accountant.passes, wall, k)
-    return RunResult(
-        w=w,
-        records=recorder.records,
-        iterations=k,
-        precond_updates=updates,
-        lr_estimates=lr_estimates,
-        snapshots=0,
-        samples_touched=accountant.samples,
-        n=oracle.n,
-        config=cfg,
-    )
+    return _drive(oracle, cfg, test_data, eval_every, w0, precondition=True)
 
 
 def sketchysgd_theoretical_run(
@@ -406,60 +451,13 @@ def sketchysgd_theoretical_run(
     cfg = resolve_config(config, oracle)
     if cfg.mode != "theoretical":
         raise ValueError("sketchysgd_theoretical_run requires mode='theoretical'")
-    rng = make_rng(cfg.seed)
-    w = np.zeros(oracle.p) if w0 is None else np.array(w0, dtype=np.float64)
-    accountant = _PassAccountant(oracle.n)
-    recorder = _Recorder(oracle, test_data, eval_every=math.inf)
-    recorder.finalize(w, 0.0, 0.0, 0)
-
-    nys = None
-    eta = cfg.learning_rate if isinstance(cfg.learning_rate, (int, float)) else None
-    t = 0
-    updates = 0
-    lr_estimates = 0
-    wall = 0.0
-    while accountant.passes < cfg.max_passes:
-        tic = time.perf_counter()
-        stage_sum = np.zeros(oracle.p)
-        produced = 0
-        for _ in range(cfg.stage_length):
-            if t == 0 or (math.isfinite(cfg.update_freq) and t % int(cfg.update_freq) == 0):
-                nys, eta_new = _refresh_preconditioner(oracle, cfg, w, rng, accountant)
-                updates += 1
-                if eta_new is not None:
-                    eta = eta_new
-                    lr_estimates += 1
-            batch = sample_batch(rng, oracle.n, cfg.grad_batch_size)
-            grad = oracle.minibatch_gradient(w, batch)
-            accountant.charge(cfg.grad_batch_size)
-            w = w - eta * precond_solve(nys, cfg.rho, grad)
-            t += 1
-            stage_sum += w
-            produced += 1
-            if accountant.passes >= cfg.max_passes:
-                break
-        if produced:
-            w = stage_sum / produced
-        wall += time.perf_counter() - tic
-        _check_finite(w, t, recorder.records)
-        recorder.finalize(w, accountant.passes, wall, t)
-    return RunResult(
-        w=w,
-        records=recorder.records,
-        iterations=t,
-        precond_updates=updates,
-        lr_estimates=lr_estimates,
-        snapshots=0,
-        samples_touched=accountant.samples,
-        n=oracle.n,
-        config=cfg,
-    )
+    return _drive(oracle, cfg, test_data, math.inf, w0, precondition=True, average=True)
 
 
 def sgd_run(
     oracle: ProblemOracle,
     learning_rate: float | None = None,
-    grad_batch_size: int = 256,
+    grad_batch_size: int | str = AUTO,
     max_passes: float = 40.0,
     seed: int = 0,
     test_data: Dataset | None = None,
@@ -468,49 +466,19 @@ def sgd_run(
 ) -> RunResult:
     """Plain minibatch SGD baseline.
 
-    The default step size is ``max(1/(3L), 1/(2(L + n*l2)))`` with L the
-    smoothness upper bound, the standard default for variance-reduced
-    solvers at this loss family.
+    The default step size and batch size are those of
+    :func:`resolve_baseline_config`.
     """
-    eta = oracle.sgd_default_learning_rate() if learning_rate is None else float(learning_rate)
-    if not eta >= 0:
-        raise ValueError("learning rate must be nonnegative")
-    bg = min(int(grad_batch_size), oracle.n)
-    rng = make_rng(seed)
-    w = np.zeros(oracle.p) if w0 is None else np.array(w0, dtype=np.float64)
-    accountant = _PassAccountant(oracle.n)
-    recorder = _Recorder(oracle, test_data, eval_every)
-    recorder.finalize(w, 0.0, 0.0, 0)
-    k = 0
-    wall = 0.0
-    while accountant.passes < max_passes:
-        tic = time.perf_counter()
-        batch = sample_batch(rng, oracle.n, bg)
-        grad = oracle.minibatch_gradient(w, batch)
-        accountant.charge(bg)
-        w = w - eta * grad
-        k += 1
-        wall += time.perf_counter() - tic
-        _check_finite(w, k, recorder.records)
-        recorder.maybe_record(w, accountant.passes, wall, k)
-    recorder.finalize(w, accountant.passes, wall, k)
-    return RunResult(
-        w=w,
-        records=recorder.records,
-        iterations=k,
-        precond_updates=0,
-        lr_estimates=0,
-        snapshots=0,
-        samples_touched=accountant.samples,
-        n=oracle.n,
-        config=None,
-    )
+    config = OptimizerConfig(learning_rate=learning_rate, grad_batch_size=grad_batch_size,
+                             max_passes=max_passes, seed=seed)
+    cfg = resolve_baseline_config(config, oracle)
+    return _drive(oracle, cfg, test_data, eval_every, w0)
 
 
 def svrg_run(
     oracle: ProblemOracle,
     learning_rate: float | None = None,
-    grad_batch_size: int = 256,
+    grad_batch_size: int | str = AUTO,
     max_passes: float = 40.0,
     seed: int = 0,
     test_data: Dataset | None = None,
@@ -523,54 +491,7 @@ def svrg_run(
     steps use ``g_B(w) - g_B(w_snap) + mu`` where ``mu`` is the snapshot's
     full gradient.  The default step size matches :func:`sgd_run`.
     """
-    eta = oracle.sgd_default_learning_rate() if learning_rate is None else float(learning_rate)
-    if not eta >= 0:
-        raise ValueError("learning rate must be nonnegative")
-    bg = min(int(grad_batch_size), oracle.n)
-    n = oracle.n
-    rng = make_rng(seed)
-    w = np.zeros(oracle.p) if w0 is None else np.array(w0, dtype=np.float64)
-    accountant = _PassAccountant(n)
-    recorder = _Recorder(oracle, test_data, eval_every)
-    recorder.finalize(w, 0.0, 0.0, 0)
-    full_index = np.arange(n, dtype=np.int64)
-    inner_iters = int(math.ceil(n / bg))
-    k = 0
-    snapshots = 0
-    wall = 0.0
-    while accountant.passes < max_passes:
-        tic = time.perf_counter()
-        w_snap = w.copy()
-        mu = oracle.minibatch_gradient(w_snap, full_index)
-        accountant.charge(n)
-        snapshots += 1
-        wall += time.perf_counter() - tic
-        recorder.maybe_record(w, accountant.passes, wall, k)
-        for _ in range(inner_iters):
-            if accountant.passes >= max_passes:
-                break
-            tic = time.perf_counter()
-            batch = sample_batch(rng, n, bg)
-            grad = (
-                oracle.minibatch_gradient(w, batch)
-                - oracle.minibatch_gradient(w_snap, batch)
-                + mu
-            )
-            accountant.charge(bg)
-            w = w - eta * grad
-            k += 1
-            wall += time.perf_counter() - tic
-            _check_finite(w, k, recorder.records)
-            recorder.maybe_record(w, accountant.passes, wall, k)
-    recorder.finalize(w, accountant.passes, wall, k)
-    return RunResult(
-        w=w,
-        records=recorder.records,
-        iterations=k,
-        precond_updates=0,
-        lr_estimates=0,
-        snapshots=snapshots,
-        samples_touched=accountant.samples,
-        n=oracle.n,
-        config=None,
-    )
+    config = OptimizerConfig(learning_rate=learning_rate, grad_batch_size=grad_batch_size,
+                             max_passes=max_passes, seed=seed)
+    cfg = resolve_baseline_config(config, oracle)
+    return _drive(oracle, cfg, test_data, eval_every, w0, svrg=True)

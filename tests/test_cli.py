@@ -381,3 +381,70 @@ def test_run_head_to_head_benchmark_from_config(tmp_path):
 
     for seed in (0, 1, 2):
         assert final_loss("sketchysgd", seed) < final_loss("sgd", seed)
+
+
+@pytest.fixture
+def narrow(tmp_path):
+    # 50 rows and 5 features: below the default rank and batch sizes
+    save_libsvm(gaussian_dataset(50, 5, "ridge", seed=4), tmp_path / "narrow.svm")
+    config = {
+        "dataset": {"path": "narrow.svm", "num_features": 5},
+        "task": "ridge",
+        "optimizers": [
+            {"name": "sgd", "grad_batch_size": "auto"},
+            {"name": "svrg"},
+            {"name": "sketchysgd", "rank": "auto"},
+            {"name": "sketchysgd-theoretical"},
+        ],
+        "seeds": [0, 1],
+        "max_passes": 2,
+        "output_dir": str(tmp_path / "out"),
+    }
+    return tmp_path, config
+
+
+def test_auto_settings_resolve_to_fit_the_data(narrow, capsys):
+    tmp_path, config = narrow
+    cfg_path = write_config(tmp_path, config)
+    assert main(["validate", str(cfg_path)]) == 0
+    resolved = json.loads(capsys.readouterr().out)["optimizers"]
+    assert [job["grad_batch_size"] for job in resolved] == [50, 50, 50, 50]
+    assert [job["rank"] for job in resolved[2:]] == [5, 5]
+    assert main(["run", str(cfg_path)]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert [job["status"] for job in manifest["jobs"]] == ["ok"] * 8
+    assert [job["resolved"] for job in manifest["jobs"][::2]] == resolved
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize(
+    "name, setting, reason",
+    [
+        ("sketchysgd", {"rank": 10}, "rank 10 must lie in [1, 5]"),
+        ("sketchysgd", {"hess_batch_size": 100}, "Hessian batch size 100 must lie in [1, 50]"),
+        ("sgd", {"grad_batch_size": 500}, "gradient batch size 500 must lie in [1, 50]"),
+        ("svrg", {"grad_batch_size": 51}, "gradient batch size 51 must lie in [1, 50]"),
+        ("sketchysgd-theoretical", {"grad_batch_size": 500},
+         "gradient batch size 500 must lie in [1, 50]"),
+    ],
+    ids=["rank", "hess_batch_size", "sgd-grad_batch_size", "svrg-grad_batch_size",
+         "theoretical-grad_batch_size"],
+)
+def test_settings_that_do_not_fit_the_data_exit_2_before_any_job(
+    narrow, capsys, command, name, setting, reason
+):
+    tmp_path, config = narrow
+    # a job that would run comes first; nothing may start
+    config = dict(config, optimizers=[{"name": "sgd", "label": "first"}, {"name": name, **setting}])
+    assert main([command, str(write_config(tmp_path, config))]) == 2
+    assert capsys.readouterr().err == f"config error: optimizers[1] ({name}): {reason}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["power_iters", "lr_scale"])
+def test_validate_rejects_auto_where_nothing_resolves_it(workspace, capsys, key):
+    tmp_path, _, config = workspace
+    config = dict(config, optimizers=[{"name": "sketchysgd", key: "auto"}])
+    assert main(["validate", str(write_config(tmp_path, config, "auto.json"))]) == 2
+    err = capsys.readouterr().err
+    assert f"optimizers[0]: {key} must be a positive" in err and "'auto'" not in err

@@ -7,9 +7,11 @@ from sketchysgd.data import Dataset
 from sketchysgd.linalg import eigh_small, make_rng
 from sketchysgd.nystrom import NystromApprox, precond_solve, rand_nys_approx
 from sketchysgd.optimizers import (
+    AUTO,
     DivergenceError,
     OptimizerConfig,
     preconditioned_top_eigenvalue,
+    resolve_baseline_config,
     resolve_config,
     sgd_run,
     sketchysgd_run,
@@ -29,7 +31,8 @@ def unit_row_oracle(task, n, p=5, seed=0):
 
 
 def test_resolve_config_ridge_defaults():
-    oracle = unit_row_oracle("ridge", n=10000)
+    # p >= 10, so that the default rank min(10, p) is 10
+    oracle = unit_row_oracle("ridge", n=10000, p=10)
     cfg = resolve_config(OptimizerConfig(), oracle)
     assert cfg.rho == pytest.approx(1e-3, rel=1e-12)
     assert cfg.hess_batch_size == 100
@@ -62,6 +65,27 @@ def test_resolve_config_validation():
         resolve_config(OptimizerConfig(update_freq=1.5), oracle)
     for whole in (3, 3.0, math.inf, "inf"):
         assert resolve_config(OptimizerConfig(update_freq=whole), oracle).update_freq == float(whole)
+    # settings that do not fit the data (n = 50, p = 5) are rejected
+    with pytest.raises(ValueError, match=r"rank 6 must lie in \[1, 5\]"):
+        resolve_config(OptimizerConfig(rank=6), oracle)
+    with pytest.raises(ValueError, match=r"gradient batch size 51 must lie in \[1, 50\]"):
+        resolve_config(OptimizerConfig(grad_batch_size=51), oracle)
+    with pytest.raises(ValueError, match="Hessian batch size 51"):
+        resolve_config(OptimizerConfig(hess_batch_size=51), oracle)
+    with pytest.raises(ValueError, match="gradient batch size 51"):
+        resolve_baseline_config(OptimizerConfig(grad_batch_size=51), oracle)
+    for run in (sgd_run, svrg_run):
+        with pytest.raises(ValueError, match="gradient batch size 51"):
+            run(oracle, grad_batch_size=51)
+    # and "auto" fits them
+    auto = resolve_config(OptimizerConfig(rank=AUTO, grad_batch_size=AUTO), oracle)
+    assert (auto.rank, auto.grad_batch_size) == (5, 50)
+    assert resolve_config(OptimizerConfig(), oracle).rank == 5
+    for bg in (AUTO, 50):
+        baseline = resolve_baseline_config(OptimizerConfig(grad_batch_size=bg), oracle)
+        assert baseline.grad_batch_size == 50
+        assert baseline.learning_rate == oracle.sgd_default_learning_rate()
+    assert sgd_run(oracle, max_passes=2.0).samples_touched == 100
 
 
 def test_power_iteration_identity_operator():
