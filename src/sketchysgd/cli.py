@@ -6,11 +6,13 @@ Three subcommands share one JSON config document::
     sketchysgd diagnose config.json  # spectrum reports before/after preconditioning
     sketchysgd validate config.json  # schema check, print the resolved config
 
-Exit codes: 0 ok, 2 config error, 3 runtime or divergence error, 4 dense
-diagnostic caps exceeded.  The ``SKETCHYSGD_NUM_THREADS`` environment
-variable sizes the thread pool that runs independent (optimizer, seed)
-jobs; each job owns its generator and writes its own files, so results do
-not depend on the pool size.
+Exit codes: 0 ok, 2 config or data error (including a malformed libsvm
+line, a feature index above 2^63 - 1, a non-finite label or value, and a
+repeated seed; each is one ``config error: ...`` line), 3 runtime or
+divergence error, 4 dense diagnostic caps exceeded.  The
+``SKETCHYSGD_NUM_THREADS`` environment variable sizes the thread pool that
+runs independent (optimizer, seed) jobs; each job owns its generator and
+writes its own files, so results do not depend on the pool size.
 
 Config schema (JSON object)::
 
@@ -270,6 +272,9 @@ def validate_config(config: dict, base_dir: Path) -> list[str]:
     seeds = config.get("seeds")
     if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
         problems.append("seeds: required nonempty list of integers")
+    elif len(set(seeds)) < len(seeds):
+        dup = sorted({s for s in seeds if seeds.count(s) > 1})
+        problems.append(f"seeds: duplicate seeds {dup}; each seed names its own output files")
 
     if "max_passes" in config and not (_is_num(config["max_passes"]) and config["max_passes"] > 0):
         problems.append("max_passes: must be a positive number")

@@ -3,8 +3,9 @@
 A :class:`Dataset` wraps an n x p sample matrix (dense row-major float64 or
 scipy CSR) together with its label vector.  Text ingestion uses the libsvm
 format: one sample per line, ``<label> <idx>:<val> ...`` with 1-based,
-strictly increasing feature indices.  All transforms are pure: they return
-new datasets and never mutate their input.
+strictly increasing feature indices no larger than 2^63 - 1 and finite
+numbers; anything else raises :class:`LibsvmParseError` with its line.  All
+transforms are pure: they return new datasets and never mutate their input.
 
 :func:`parse_libsvm` reads :data:`PARSE_CHUNK_LINES` lines at a time.  When
 every line of a chunk is plain (``label idx:val ...`` with ASCII number
@@ -104,6 +105,10 @@ class Dataset:
         return Dataset(self.features[indices], self.labels[indices], prov)
 
 
+#: Largest 1-based feature index: the 0-based column must fit in int64.
+_MAX_INDEX = 2**63 - 1
+
+
 def _parse_line(line: str, lineno: int):
     parts = line.split()
     try:
@@ -124,6 +129,11 @@ def _parse_line(line: str, lineno: int):
             raise LibsvmParseError(f"line {lineno}: malformed token {token!r}") from None
         if idx == 0:
             raise LibsvmParseError(f"line {lineno}: feature indices are 1-based, got 0")
+        if idx > _MAX_INDEX:
+            raise LibsvmParseError(
+                f"line {lineno}: feature index {idx} exceeds the largest supported "
+                f"index {_MAX_INDEX}"
+            )
         if idx <= prev:
             raise LibsvmParseError(
                 f"line {lineno}: feature index {idx} does not increase past {prev}"
@@ -238,6 +248,27 @@ def _parse_lines(lines: list[str], linenos: list[int]):
     )
 
 
+def _line_numbers(chunk: list[str], consumed: int) -> list[int]:
+    """1-based file line numbers of the non-blank lines of a chunk."""
+    return [consumed + i for i, line in enumerate(chunk, start=1) if line]
+
+
+def _check_finite(part, chunk: list[str], consumed: int) -> None:
+    """Reject the first line of a parsed chunk that holds a non-finite number."""
+    labels, row_ends, _indices, values = part
+    bad_labels, bad_values = ~np.isfinite(labels), ~np.isfinite(values)
+    if not (bad_labels.any() or bad_values.any()):
+        return
+    value_rows = np.searchsorted(row_ends, np.flatnonzero(bad_values), side="right")
+    row = min(np.flatnonzero(bad_labels)[:1].tolist() + value_rows[:1].tolist())
+    if bad_labels[row]:
+        what = f"label {float(labels[row])!r}"
+    else:
+        first = int(np.flatnonzero(bad_values)[0])
+        what = f"feature value {float(values[first])!r}"
+    raise LibsvmParseError(f"line {_line_numbers(chunk, consumed)[row]}: {what} is not finite")
+
+
 def parse_libsvm(source, num_features: int | None = None) -> Dataset:
     """Parse libsvm text into a sparse dataset.
 
@@ -261,9 +292,8 @@ def parse_libsvm(source, num_features: int | None = None) -> Dataset:
     while chunk := [raw.strip() for raw in itertools.islice(rows, PARSE_CHUNK_LINES)]:
         kept = [line for line in chunk if line]
         if kept:
-            part = _parse_plain(kept) or _parse_lines(
-                kept, [consumed + i for i, line in enumerate(chunk, start=1) if line]
-            )
+            part = _parse_plain(kept) or _parse_lines(kept, _line_numbers(chunk, consumed))
+            _check_finite(part, chunk, consumed)
             labels.append(part[0])
             indptr.append(part[1] + indptr[-1][-1])
             indices.append(part[2])

@@ -3,8 +3,17 @@
 All matrices are float64 numpy arrays in row-major (C) order.  The kernels
 target the p x r shapes (r << p) that arise when sketching a large symmetric
 operator, plus small symmetric eigenproblems used by the diagnostics.  They
-are thin, contract-checked wrappers over LAPACK via numpy: Householder QR,
-Cholesky, thin SVD, and a symmetric eigensolver.
+are thin, contract-checked wrappers over LAPACK via numpy.
+
+The skinny QR and thin SVD do their p x r work as matrix products and
+their factorizations in r x r: CholeskyQR2 (twice: Gram matrix, Cholesky,
+product with the inverse of the r x r triangle), then the SVD of the r x r
+factor.  That is a few GEMMs where Householder reflections make r
+memory-bound passes each.  The Gram matrix squares the condition number,
+so when a Cholesky factorization breaks down or the result misses
+orthonormality by more than ``ORTHONORMAL_TOL`` (from a condition number of
+about 1e8 on) both fall back to Householder QR and SVD.  The spectral norm
+is the top eigenvalue of the r x r Gram matrix.
 
 Randomness comes from a named, seeded generator: ``make_rng(seed)`` returns a
 numpy ``Generator`` over the PCG64 bit generator, whose normal variates use
@@ -15,12 +24,21 @@ optimizer run, never shared across threads.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from scipy.linalg import blas, lapack
 
 Rng = np.random.Generator
 
 #: Largest symmetric eigenproblem the diagnostics-grade solver accepts.
 EIGH_DIM_CAP = 4096
+
+#: Largest entry of ``Q.T @ Q - I`` that the QR and SVD kernels return.
+ORTHONORMAL_TOL = 1e-12
+
+# Rows per block when a p x r factor is multiplied by an r x r matrix in place.
+_ROW_BLOCK = 2048
 
 
 class DegenerateMatrixError(ValueError):
@@ -50,20 +68,63 @@ def gaussian_matrix(rng: Rng, p: int, r: int) -> np.ndarray:
     return rng.standard_normal((p, r))
 
 
+def _check_tall(mat: np.ndarray, name: str) -> np.ndarray:
+    mat = np.asarray(mat, dtype=np.float64)
+    if mat.ndim != 2:
+        raise ValueError(f"{name} expects a 2-d matrix")
+    if mat.shape[1] > mat.shape[0]:
+        raise ValueError(f"{name} expects a tall matrix, got shape {mat.shape}")
+    return mat
+
+
+def upper_inverse(c: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular upper-triangular matrix (LAPACK ``trtri``).
+
+    Lets a p x r matrix be divided by an r x r triangle with one matrix
+    product instead of a triangular solve with p right-hand sides.
+    """
+    inv, info = lapack.dtrtri(np.asarray(c, dtype=np.float64), lower=0)
+    if info != 0:
+        raise DegenerateMatrixError("singular triangular factor")
+    return inv
+
+
+def _cholesky_qr2(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(Q, R)`` with ``mat = Q R`` by CholeskyQR2, or ``None`` on breakdown.
+
+    Two rounds of ``C = chol(Q' Q)``, ``Q <- Q C^{-1}`` on one row-major copy
+    of ``mat``; the product is BLAS ``trmm`` in place on its column-major
+    transpose, ``Q' <- C^{-T} Q'``.  R is the product of the two triangles.
+    ``None`` when a Cholesky factorization fails, or when ``Q' Q`` misses
+    the identity by more than ``ORTHONORMAL_TOL`` (also when it is not
+    finite).
+    """
+    qt, r = np.array(mat, order="C").T, None
+    for _ in range(2):
+        # dsyrk fills the upper triangle of Q' Q and leaves the lower one zero.
+        upper, info = lapack.dpotrf(blas.dsyrk(1.0, qt), lower=0, clean=1)
+        if info != 0:
+            return None
+        # A factor with a positive diagonal, so its inverse exists.
+        qt = blas.dtrmm(1.0, upper_inverse(upper), qt, trans_a=1, overwrite_b=1)
+        r = upper if r is None else upper @ r
+    if not np.abs(blas.dsyrk(1.0, qt) - np.eye(qt.shape[0])).max() <= ORTHONORMAL_TOL:
+        return None
+    return qt.T, r
+
+
 def qr_econ(mat: np.ndarray) -> np.ndarray:
     """Orthonormal basis of range(mat) for a full-column-rank p x r matrix.
 
-    Returns Q (p x r) with ``Q.T @ Q = I`` to 1e-12 in max norm, computed by
-    Householder reflections.  Raises ``DegenerateMatrixError`` when a column
-    is numerically dependent on the preceding ones (vanishing R diagonal).
+    Returns Q (p x r) with ``Q.T @ Q = I`` to ``ORTHONORMAL_TOL`` in max
+    norm, computed by CholeskyQR2, or by Householder reflections when that
+    breaks down.  Raises ``DegenerateMatrixError`` when a column is
+    numerically dependent on the preceding ones (vanishing R diagonal).
     """
-    mat = np.asarray(mat, dtype=np.float64)
-    if mat.ndim != 2:
-        raise ValueError("qr_econ expects a 2-d matrix")
+    mat = _check_tall(mat, "qr_econ")
     p, r = mat.shape
-    if r > p:
-        raise ValueError(f"qr_econ expects a tall matrix, got shape ({p}, {r})")
-    q, rmat = np.linalg.qr(mat, mode="reduced")
+    qr = _cholesky_qr2(mat) if r else None
+    q, rmat = qr if qr is not None else np.linalg.qr(mat, mode="reduced")
     diag = np.abs(np.diag(rmat))
     tol = max(p, r) * np.finfo(np.float64).eps * (diag.max() if diag.size else 0.0)
     if diag.size == 0 or np.any(diag <= tol):
@@ -96,15 +157,23 @@ def thin_svd(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(v, sigma)`` where ``b = v @ diag(sigma) @ w.T`` for some
     orthogonal w (discarded), with sigma sorted descending and the columns
-    of v orthonormal.
+    of v orthonormal to ``ORTHONORMAL_TOL``.  Computed as ``b = Q R`` by
+    CholeskyQR2 and the SVD of the r x r R, or by a Householder SVD when
+    CholeskyQR2 breaks down.
     """
-    b = np.asarray(b, dtype=np.float64)
-    if b.ndim != 2:
-        raise ValueError("thin_svd expects a 2-d matrix")
-    if b.shape[1] > b.shape[0]:
-        raise ValueError(f"thin_svd expects a tall matrix, got shape {b.shape}")
-    v, sigma, _ = np.linalg.svd(b, full_matrices=False)
-    return v, sigma
+    b = _check_tall(b, "thin_svd")
+    qr = _cholesky_qr2(b) if b.shape[1] else None
+    if qr is None:
+        v, sigma, _ = np.linalg.svd(b, full_matrices=False)
+        return v, sigma
+    q, r = qr
+    u, sigma, _ = np.linalg.svd(r)
+    # q <- q u in place, a block of rows at a time, so that the build holds
+    # one p x r buffer instead of two.
+    for start in range(0, q.shape[0], _ROW_BLOCK):
+        block = q[start:start + _ROW_BLOCK]
+        block[...] = block @ u
+    return q, sigma
 
 
 def eigh_small(a: np.ndarray, max_dim: int = EIGH_DIM_CAP) -> tuple[np.ndarray, np.ndarray]:
@@ -129,9 +198,21 @@ def eigh_small(a: np.ndarray, max_dim: int = EIGH_DIM_CAP) -> tuple[np.ndarray, 
 
 
 def spectral_norm(b: np.ndarray) -> float:
-    """Largest singular value of a tall matrix (exact, via thin SVD)."""
-    _, sigma = thin_svd(b)
-    return float(sigma[0]) if sigma.size else 0.0
+    """Largest singular value of a tall matrix.
+
+    The square root of the top eigenvalue of the r x r Gram matrix, which
+    is accurate to a few ulps relative whatever the condition number; a
+    Gram matrix that is not finite (overflow, or a NaN in ``b``) falls back
+    to the singular values.
+    """
+    b = _check_tall(b, "spectral_norm")
+    if b.shape[1] == 0:
+        return 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = b.T @ b
+    if not np.isfinite(gram).all():
+        return float(np.linalg.svd(b, compute_uv=False)[0])
+    return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
 
 
 def top_eig_diag_plus_rank1(diag: np.ndarray, scale, vec: np.ndarray):

@@ -3,12 +3,21 @@
 Given black-box products with a symmetric PSD operator H (typically a
 subsampled Hessian), ``rand_nys_approx`` builds a rank-r eigenpair
 factorization ``H_hat = V diag(lam) V.T`` from a single blocked sketch
-``Y = H Q``.  The regularized approximation ``P = H_hat + rho I`` then
-supports O(p r) application of ``P^{-1}`` and ``P^{-1/2}`` through the
-matrix inversion lemma, which is all the optimizer ever needs.  Both go
+``Y = H Q``.  Apart from that product, the build is a handful of p x r
+matrix products around r x r factorizations: CholeskyQR2 of the Gaussian
+test matrix, ``B = Y C^{-1}`` as one product with the inverse of the r x r
+Cholesky factor, CholeskyQR2 of B and the SVD of its r x r factor, and the
+spectral norm from the r x r Gram matrix; see :mod:`sketchysgd.linalg` for
+the Householder fallback.  The regularized approximation
+``P = H_hat + rho I`` then supports O(p r) application of ``P^{-1}`` and
+``P^{-1/2}`` through the matrix inversion lemma, which is all the optimizer
+ever needs.  Both go
 through one apply, ``P^{-s} v = V (c * ((lam + rho)^{-s} - rho^{-s})) + rho^{-s} v``
 with ``c = V.T v``: two passes over the basis, which is stored column-major
-so that each pass reads contiguous columns.
+so that each pass reads contiguous columns.  SketchySGD on CSR data does not
+call ``precond_solve`` per step: it applies the same formula to a gradient
+supported on the batch's columns, in factored form, for O(r nnz(batch))
+(see ``optimizers._FactoredIterate``).
 """
 
 from __future__ import annotations
@@ -17,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .linalg import (
     DegenerateMatrixError,
@@ -28,6 +36,7 @@ from .linalg import (
     qr_econ,
     spectral_norm,
     thin_svd,
+    upper_inverse,
 )
 
 
@@ -120,14 +129,14 @@ def rand_nys_approx(
         raise ValueError(f"hvp returned shape {sketch.shape}, expected ({p}, {rank})")
 
     nu = np.sqrt(p) * np.spacing(spectral_norm(sketch))
-    shifted = sketch + nu * test_matrix
-    core = test_matrix.T @ shifted
+    # Q.T (Y + nu Q) = Q.T Y + nu I, Q being orthonormal
+    core = test_matrix.T @ sketch + nu * np.eye(rank)
     try:
         chol = cholesky(0.5 * (core + core.T))
     except IndefiniteMatrixError as exc:
         raise SketchNotPsdError("sketch not PSD") from exc
-    # B = Y C^{-1} via one triangular solve: C.T B.T = Y.T
-    b = solve_triangular(chol, sketch.T, trans="T", lower=False).T
+    # B = Y C^{-1} as one product with the inverse of the r x r triangle
+    b = sketch @ upper_inverse(chol)
     basis, sigma = thin_svd(b)
     eigenvalues = np.maximum(sigma * sigma - nu, 0.0)
     return NystromApprox(basis, eigenvalues, batch=batch, shift=float(nu))

@@ -18,6 +18,16 @@ snapshots (the pass accountant; evaluation is instrumentation and is never
 charged), and records losses on a pass schedule, or at every stage end when
 averaging.  Runs are bit-reproducible from (config, seed, dataset) apart
 from wall-clock fields.
+
+A preconditioned step on CSR data without averaging (SketchySGD proper)
+is factored: between two refreshes the preconditioner is fixed, so the
+iterate is kept as ``alpha * w_tilde + V s`` (see :class:`_FactoredIterate`)
+and a step costs O(r nnz(batch)) instead of O(r p): no p-length gradient,
+no ``precond_solve``, no pass over w.  The iterate itself is built, in
+O(r p), only at a refresh, an evaluation and the end of the run.  It is the
+same step as the materialized one, rounded differently (a relative
+difference around 1e-15 on the losses).  Dense data, averaged runs and the
+SGD and SVRG baselines take the materialized step.
 """
 
 from __future__ import annotations
@@ -125,7 +135,7 @@ def resolve_config(config: OptimizerConfig, oracle: ProblemOracle) -> OptimizerC
     bh = config.hess_batch_size
     if bh == AUTO:
         bh = max(1, min(n, int(math.floor(math.sqrt(n)))))
-    bh = int(bh)
+    bh = _integral("hess_batch_size", bh)
     rho = config.rho
     if rho == AUTO:
         rho = 1e-3 * oracle.smoothness_upper_bound
@@ -137,11 +147,11 @@ def resolve_config(config: OptimizerConfig, oracle: ProblemOracle) -> OptimizerC
     m = config.stage_length
     if m == AUTO:
         m = int(math.ceil(n / bg))
-    m = int(m)
+    m = _integral("stage_length", m)
 
     resolved = replace(
         config,
-        rank=min(10, oracle.p) if config.rank == AUTO else config.rank,
+        rank=min(10, oracle.p) if config.rank == AUTO else _integral("rank", config.rank),
         grad_batch_size=bg,
         hess_batch_size=bh,
         rho=rho,
@@ -168,8 +178,17 @@ def resolve_baseline_config(config: OptimizerConfig, oracle: ProblemOracle) -> O
     return replace(config, grad_batch_size=bg, learning_rate=eta)
 
 
+def _integral(name: str, value) -> int:
+    """``value`` as an int if it is a whole number; never truncates."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
 def _grad_batch_size(value: int | str, n: int) -> int:
-    bg = min(256, n) if value == AUTO else int(value)
+    bg = min(256, n) if value == AUTO else _integral("grad_batch_size", value)
     if not 1 <= bg <= n:
         raise ValueError(f"gradient batch size {bg} must lie in [1, {n}]")
     return bg
@@ -236,8 +255,11 @@ class _Recorder:
         )
         self._next = (math.floor(passes / self.eval_every) + 1) * self.eval_every
 
+    def due(self, passes: float) -> bool:
+        return passes >= self._next
+
     def maybe_record(self, w, passes: float, wall: float, iteration: int) -> None:
-        if passes >= self._next:
+        if self.due(passes):
             self._evaluate(w, passes, wall, iteration)
 
     def finalize(self, w, passes: float, wall: float, iteration: int) -> None:
@@ -321,6 +343,71 @@ def sketch_hessian(
     )
 
 
+#: Smallest scale a factored iterate keeps before folding it into its
+#: vector; below it the vector's entries grow as 1/alpha.
+_ALPHA_FLOOR = 1e-8
+
+
+class _FactoredIterate:
+    """A preconditioned iterate on CSR data between two refreshes.
+
+    While ``P = V diag(lam) V' + rho I`` is fixed, the iterate is kept as
+    ``w = alpha * w_tilde + V s``, with ``t = V' w``.  Let ``G`` be the data
+    part of the minibatch gradient, supported on the batch's columns, and
+    ``gamma = (lam + rho)^-1 - rho^-1``, ``beta = 1 - eta * l2 / rho``.  Then
+    ``w <- w - eta P^{-1} (G + l2 w)`` is, with ``u = V' G`` and
+    ``delta = gamma * (u + l2 t)``::
+
+        alpha <- beta alpha;  w_tilde[cols] -= eta / (rho alpha) G[cols]
+        s <- beta s - eta delta;  t <- beta t - (eta / rho) u - eta delta
+
+    This costs O(r nnz(batch)): the margins need ``w`` only at the batch's
+    columns, ``alpha w_tilde[cols] + V[cols] s``, and ``u`` only the same
+    rows of V (kept C-ordered, so each row gathers contiguously).  ``w`` is
+    built, in O(p r), only when asked for.  When alpha falls below
+    ``_ALPHA_FLOOR`` (every step once ``eta * l2 >= rho``) it is first
+    folded into ``w_tilde``, an O(p) re-base.
+    """
+
+    def __init__(self, w: np.ndarray, nys: NystromApprox, rho: float, eta: float, l2: float):
+        self.basis = np.ascontiguousarray(nys.basis)
+        self.gain = (nys.eigenvalues + rho) ** -1.0 - rho**-1.0
+        self.eta, self.l2, self.step_over_rho = eta, l2, eta / rho
+        self.beta = 1.0 - eta * l2 / rho
+        self.w_tilde, self.alpha, self.s = w.copy(), 1.0, np.zeros(nys.rank)
+        self.t = self.basis.T @ w
+        self._w = w
+        self._rows = None
+
+    def _at(self, cols: np.ndarray) -> np.ndarray:
+        self._rows = np.take(self.basis, cols, axis=0)
+        return self.alpha * self.w_tilde[cols] + self._rows @ self.s
+
+    def step(self, oracle: ProblemOracle, batch: np.ndarray) -> bool:
+        """One step on ``batch``; False if alpha, s or a touched entry of
+        ``w_tilde`` is no longer finite."""
+        cols, terms = oracle.gradient_terms(batch, self._at)
+        u = (self._rows.T @ terms) / batch.size
+        delta = self.gain * (u + self.l2 * self.t)
+        alpha = self.beta * self.alpha
+        finite = math.isfinite(alpha)
+        if not alpha >= _ALPHA_FLOOR:
+            self.w_tilde *= alpha
+            alpha = 1.0
+        self.alpha = alpha
+        np.subtract.at(self.w_tilde, cols, (self.step_over_rho / (alpha * batch.size)) * terms)
+        self.s = self.beta * self.s - self.eta * delta
+        self.t = self.beta * self.t - self.step_over_rho * u - self.eta * delta
+        self._w = None
+        return finite and bool(np.isfinite(self.s).all() and np.isfinite(self.w_tilde[cols]).all())
+
+    def iterate(self) -> np.ndarray:
+        """``w = alpha * w_tilde + V s`` (cached until the next step)."""
+        if self._w is None:
+            self._w = self.alpha * self.w_tilde + self.basis @ self.s
+        return self._w
+
+
 def _drive(
     oracle: ProblemOracle,
     cfg: OptimizerConfig,
@@ -330,6 +417,7 @@ def _drive(
     precondition: bool = False,
     svrg: bool = False,
     average: bool = False,
+    factor_sparse_steps: bool = True,
 ) -> RunResult:
     """The optimization loop behind every runner; see the module docstring.
 
@@ -337,7 +425,9 @@ def _drive(
     ``max_passes`` passes; the last stage of an averaged run may be cut
     short.  The iterate is checked for finiteness and offered to the
     recorder after every step, or after every stage when averaging.  Wall
-    time covers the optimization work only.
+    time covers the optimization work only.  Preconditioned, unaveraged
+    steps on CSR data use :class:`_FactoredIterate` unless
+    ``factor_sparse_steps`` is False.
     """
     n, bg = oracle.n, cfg.grad_batch_size
     rng = make_rng(cfg.seed)
@@ -346,7 +436,9 @@ def _drive(
     recorder.finalize(w, 0.0, 0.0, 0)
     record = recorder.finalize if average else recorder.maybe_record
 
-    nys = None
+    nys = state = None
+    factored = (factor_sparse_steps and precondition and not (svrg or average)
+                and oracle.data.is_sparse)
     eta = cfg.learning_rate if isinstance(cfg.learning_rate, (int, float)) else None
     estimate = precondition and eta is None
     epoch = math.ceil(n / bg)
@@ -370,6 +462,8 @@ def _drive(
         if precondition and (
             k == 0 or (math.isfinite(cfg.update_freq) and k % int(cfg.update_freq) == 0)
         ):
+            if state is not None:
+                w = state.iterate()
             nys = sketch_hessian(oracle, cfg, w, rng)
             touched += cfg.rank * cfg.hess_batch_size
             updates += 1
@@ -380,13 +474,25 @@ def _drive(
                 )
                 touched += cfg.power_iters * cfg.hess_batch_size
                 lr_estimates += 1
+            if factored:
+                state = _FactoredIterate(w, nys, cfg.rho, eta, oracle.l2)
         batch = sample_batch(rng, n, bg)
+        touched += bg
+        k += 1
+        if state is not None:
+            if not state.step(oracle, batch):
+                raise DivergenceError(k, recorder.records)
+            due = recorder.due(touched / n)
+            if due:
+                w = state.iterate()
+            wall += time.perf_counter() - tic
+            if due:
+                recorder.maybe_record(w, touched / n, wall, k)
+            continue
         grad = oracle.minibatch_gradient(w, batch)
         if svrg:
             grad = grad - oracle.minibatch_gradient(w_snap, batch) + mu
-        touched += bg
         w = w - eta * (precond_solve(nys, cfg.rho, grad) if precondition else grad)
-        k += 1
         if average:
             stage_sum += w
             produced += 1
@@ -398,6 +504,10 @@ def _drive(
         if not np.all(np.isfinite(w)):
             raise DivergenceError(k, recorder.records)
         record(w, touched / n, wall, k)
+    if state is not None:
+        tic = time.perf_counter()
+        w = state.iterate()
+        wall += time.perf_counter() - tic
     recorder.finalize(w, touched / n, wall, k)
     return RunResult(
         w=w,

@@ -156,20 +156,32 @@ class ProblemOracle:
         # d/dz log(1 + exp(-y z)) = -y sigma(-y z)
         return -y * expit(-y * z)
 
+    def gradient_terms(self, batch: np.ndarray, iterate_at) -> tuple[np.ndarray, np.ndarray]:
+        """Data part of a CSR minibatch gradient, one term per gathered nonzero.
+
+        ``batch`` holds valid row indices (as drawn by :func:`sample_batch`)
+        and ``iterate_at(cols)`` returns the iterate at the given columns.
+        Returns ``(cols, terms)``: the terms summed by column are
+        ``sum_{i in B} grad f_i(w)``, before the division by ``|B|`` and
+        without the l2 term.  The cost is O(nnz(batch)) plus whatever
+        ``iterate_at`` costs, which lets a caller that keeps its iterate in
+        factored form step without touching all p coordinates.
+        """
+        rows, cols, vals = self._gather_rows(batch)
+        z = np.bincount(rows, weights=vals * iterate_at(cols), minlength=batch.size)
+        return cols, vals * self._loss_slope(z, self.data.labels[batch])[rows]
+
     def minibatch_gradient(self, w: np.ndarray, batch: np.ndarray) -> np.ndarray:
         """``(1/|B|) sum_{i in B} grad f_i(w) + l2 * w``."""
         w = self._check_w(w)
         batch = self._check_batch(batch)
-        y = self.data.labels[batch]
         full = self._is_full(batch)
         if self.data.is_sparse and not full:
-            rows, cols, vals = self._gather_rows(batch)
-            z = np.bincount(rows, weights=vals * w[cols], minlength=batch.size)
-            coeff = self._loss_slope(z, y)
-            grad = np.bincount(cols, weights=vals * coeff[rows], minlength=self.p)
+            cols, terms = self.gradient_terms(batch, w.__getitem__)
+            grad = np.bincount(cols, weights=terms, minlength=self.p)
         else:
             feats = self.data.features if full else self.data.features[batch]
-            coeff = self._loss_slope(np.asarray(feats @ w).ravel(), y)
+            coeff = self._loss_slope(np.asarray(feats @ w).ravel(), self.data.labels[batch])
             grad = np.asarray(feats.T @ coeff).ravel()
         return grad / batch.size + self.l2 * w
 

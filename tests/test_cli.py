@@ -448,3 +448,35 @@ def test_validate_rejects_auto_where_nothing_resolves_it(workspace, capsys, key)
     assert main(["validate", str(write_config(tmp_path, config, "auto.json"))]) == 2
     err = capsys.readouterr().err
     assert f"optimizers[0]: {key} must be a positive" in err and "'auto'" not in err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize(
+    "bad_line, reason",
+    [
+        ("-1 99999999999999999999:1",
+         "line 2: feature index 99999999999999999999 exceeds the largest supported index "
+         "9223372036854775807"),
+        ("-1 1:nan", "line 2: feature value nan is not finite"),
+        ("nan 1:1", "line 2: label nan is not finite"),
+    ],
+    ids=["index-above-int64", "nan-value", "nan-label"],
+)
+def test_data_errors_exit_2_with_one_line(tmp_path, capsys, command, bad_line, reason):
+    (tmp_path / "bad.svm").write_text("1 1:0.5 2:1\n" + bad_line + "\n")
+    config = {"dataset": {"path": "bad.svm"}, "task": "logistic", "optimizers": [{"name": "sgd"}],
+              "seeds": [0], "output_dir": str(tmp_path / "out")}
+    assert main([command, str(write_config(tmp_path, config))]) == 2
+    assert capsys.readouterr().err == f"config error: {reason}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_duplicate_seeds_exit_2(workspace, capsys, command):
+    tmp_path, _, config = workspace
+    config = dict(config, seeds=[0, 1, 0])
+    assert main([command, str(write_config(tmp_path, config, "dup.json"))]) == 2
+    assert capsys.readouterr().err == (
+        "config error: seeds: duplicate seeds [0]; each seed names its own output files\n"
+    )
+    assert not (tmp_path / "out").exists()

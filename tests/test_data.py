@@ -263,13 +263,34 @@ def test_chunked_parse_keeps_embedded_newlines_in_one_line():
     assert str(got.value) == str(want.value) == f"line {PARSE_CHUNK_LINES + 6}: malformed token '-1'"
 
 
-def test_chunked_parse_overflowing_index_like_reference():
-    text = PLAIN_PREFIX + "1 99999999999999999999:1\n"
-    with pytest.raises(OverflowError) as want:
-        reference_parse(text)
-    with pytest.raises(OverflowError) as got:
+@pytest.mark.parametrize("index", ["99999999999999999999", str(2**63)])
+def test_chunked_parse_rejects_overflowing_index(index):
+    # The old loop (the reference) let this escape as an OverflowError.
+    text = PLAIN_PREFIX + f"1 {index}:1\n"
+    with pytest.raises(LibsvmParseError) as got:
         parse_libsvm(text)
-    assert str(got.value) == str(want.value)
+    assert str(got.value) == (
+        f"line {PARSE_CHUNK_LINES + 6}: feature index {index} exceeds the largest supported "
+        f"index {2**63 - 1}"
+    )
+    assert parse_libsvm(f"1 {2**63 - 1}:1\n").p == 2**63 - 1
+
+
+@pytest.mark.parametrize(
+    "line, what",
+    [
+        ("-1 1:nan", "feature value nan"),
+        ("-1 1:1 2:-inf", "feature value -inf"),
+        ("-1 1:1e999", "feature value inf"),  # plain bytes: the vectorised path
+        ("nan 1:1", "label nan"),
+        ("inf", "label inf"),
+    ],
+)
+def test_parse_rejects_non_finite_numbers_with_their_line(line, what):
+    text = PLAIN_PREFIX + "\n" + line + "\n-1 1:nan\n"
+    with pytest.raises(LibsvmParseError) as got:
+        parse_libsvm(text)
+    assert str(got.value) == f"line {PARSE_CHUNK_LINES + 7}: {what} is not finite"
 
 
 @pytest.mark.parametrize("line", ["1 +3:1", "1 1:1_0", "1 3:١", "1\x1c2:1", "1 1:1\r2:2"])

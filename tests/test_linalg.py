@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sketchysgd import linalg
 from sketchysgd.linalg import (
     DegenerateMatrixError,
     DiagnosticCapError,
@@ -13,6 +14,7 @@ from sketchysgd.linalg import (
     spectral_norm,
     thin_svd,
     top_eig_diag_plus_rank1,
+    upper_inverse,
 )
 
 
@@ -125,6 +127,58 @@ def test_spectral_norm_matches_numpy():
     rng = make_rng(4)
     b = rng.standard_normal((30, 5))
     assert spectral_norm(b) == pytest.approx(np.linalg.norm(b, 2), rel=1e-12)
+
+
+def conditioned_matrix(p, r, condition, seed):
+    """Full-rank p x r matrix with singular values logspaced from 1 to 1/condition."""
+    rng = make_rng(seed)
+    left, _ = np.linalg.qr(rng.standard_normal((p, r)))
+    right, _ = np.linalg.qr(rng.standard_normal((r, r)))
+    sigma = np.logspace(0.0, -np.log10(condition), r)
+    return (left * sigma) @ right.T, sigma
+
+
+@pytest.mark.parametrize("condition, fallback", [(1e4, False), (1e10, True)])
+def test_skinny_kernels_meet_their_contracts_on_both_paths(condition, fallback):
+    b, sigma = conditioned_matrix(3000, 8, condition, seed=0)
+    # CholeskyQR2 squares the condition number in its Gram matrix; on this
+    # draw at 1e10 its Cholesky breaks down or Q misses orthonormality, and
+    # the kernels fall back to Householder.
+    assert (linalg._cholesky_qr2(b) is None) == fallback
+    q = qr_econ(b)
+    assert np.abs(q.T @ q - np.eye(8)).max() <= linalg.ORTHONORMAL_TOL
+    assert np.linalg.norm(b - q @ (q.T @ b)) <= 1e-12 * np.linalg.norm(b)
+    v, s = thin_svd(b)
+    assert np.abs(v.T @ v - np.eye(8)).max() <= linalg.ORTHONORMAL_TOL
+    assert np.all(np.diff(s) <= 0)
+    # singular values to a few ulps of the largest, as a Householder SVD gives
+    np.testing.assert_allclose(s, sigma, rtol=0.0, atol=1e-14)
+    w = (b.T @ v) / s[None, :]
+    assert np.linalg.norm(b - (v * s) @ w.T) <= 1e-12 * np.linalg.norm(b)
+    assert spectral_norm(b) == pytest.approx(np.linalg.norm(b, 2), rel=1e-13)
+
+
+def test_qr_econ_degenerate_column_raises_through_the_fallback():
+    b, _ = conditioned_matrix(200, 4, 10.0, seed=13)
+    b = np.column_stack([b, b[:, 1] + 1e-17 * b[:, 2]])
+    with pytest.raises(DegenerateMatrixError, match="degenerate sketch matrix"):
+        qr_econ(b)
+
+
+def test_upper_inverse():
+    c = np.triu(make_rng(14).standard_normal((6, 6))) + 4.0 * np.eye(6)
+    np.testing.assert_allclose(upper_inverse(c) @ c, np.eye(6), atol=1e-14)
+    with pytest.raises(DegenerateMatrixError):
+        upper_inverse(np.diag([1.0, 0.0, 2.0]))
+
+
+def test_spectral_norm_edge_shapes():
+    assert spectral_norm(np.zeros((4, 0))) == 0.0
+    assert spectral_norm(np.zeros((4, 2))) == 0.0
+    big = np.full((3, 2), 1e200)  # the Gram matrix overflows
+    assert spectral_norm(big) == pytest.approx(np.linalg.norm(big, 2), rel=1e-13)
+    with pytest.raises(ValueError, match="tall"):
+        spectral_norm(np.ones((2, 3)))
 
 
 def test_eigh_small_diagonal():

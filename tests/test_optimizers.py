@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from sketchysgd import optimizers
 from sketchysgd.data import Dataset
 from sketchysgd.linalg import eigh_small, make_rng
 from sketchysgd.nystrom import NystromApprox, precond_solve, rand_nys_approx
@@ -72,6 +74,17 @@ def test_resolve_config_validation():
         resolve_config(OptimizerConfig(grad_batch_size=51), oracle)
     with pytest.raises(ValueError, match="Hessian batch size 51"):
         resolve_config(OptimizerConfig(hess_batch_size=51), oracle)
+    # integer settings are never truncated
+    for key, value in (("rank", 2.5), ("grad_batch_size", 3.7), ("hess_batch_size", 4.5),
+                       ("stage_length", 1.5), ("rank", "3")):
+        with pytest.raises(ValueError, match=f"{key} must be a whole number, got {value!r}"):
+            resolve_config(OptimizerConfig(**{key: value}), oracle)
+    with pytest.raises(ValueError, match="grad_batch_size must be a whole number"):
+        resolve_baseline_config(OptimizerConfig(grad_batch_size=3.7), oracle)
+    whole = resolve_config(OptimizerConfig(rank=3.0, grad_batch_size=4.0, hess_batch_size=5.0,
+                                           stage_length=6.0), oracle)
+    assert (whole.rank, whole.grad_batch_size, whole.hess_batch_size, whole.stage_length) == (3, 4, 5, 6)
+    assert all(type(v) is int for v in (whole.rank, whole.grad_batch_size, whole.hess_batch_size))
     with pytest.raises(ValueError, match="gradient batch size 51"):
         resolve_baseline_config(OptimizerConfig(grad_batch_size=51), oracle)
     for run in (sgd_run, svrg_run):
@@ -332,3 +345,100 @@ def test_divergence_detection():
     except DivergenceError as exc:
         assert exc.iteration >= 1
         assert exc.records  # baseline row survives for partial output
+
+
+def csr_oracle(task, l2, n=400, p=60, seed=0):
+    """Skewed CSR data: a few columns in most rows, a long tail in few."""
+    rng = np.random.default_rng(seed)
+    popularity = 1.0 / np.arange(1, p + 1)
+    cols = rng.choice(p, size=(n, 6), p=popularity / popularity.sum())
+    rows = np.repeat(np.arange(n), 6)
+    feats = sp.csr_matrix((rng.uniform(0.5, 1.5, rows.size), (rows, cols.ravel())), shape=(n, p))
+    feats.sum_duplicates()
+    if task == "logistic":
+        labels = np.where(feats @ rng.standard_normal(p) + 0.3 * rng.standard_normal(n) > 0, 1.0, -1.0)
+    else:
+        labels = feats @ rng.standard_normal(p) + 0.1 * rng.standard_normal(n)
+    return ProblemOracle(Dataset(feats, labels), task, l2)
+
+
+def run_both(oracle, config, monkeypatch, eval_every=0.5):
+    """The factored sparse step and the materialized one on the same job."""
+    calls = []
+    gradient = ProblemOracle.minibatch_gradient
+    monkeypatch.setattr(ProblemOracle, "minibatch_gradient",
+                        lambda self, w, batch: calls.append(1) or gradient(self, w, batch))
+    cfg = resolve_config(config, oracle)
+    factored = sketchysgd_run(oracle, config, eval_every=eval_every)
+    assert calls == []  # the factored step never builds a p-length gradient
+    dense = optimizers._drive(oracle, cfg, None, eval_every, None, precondition=True,
+                              factor_sparse_steps=False)
+    assert len(calls) == dense.iterations
+    return factored, dense
+
+
+COUNTERS = ("iterations", "precond_updates", "lr_estimates", "snapshots", "samples_touched")
+
+
+def assert_same_run(factored, dense, rtol=1e-10):
+    assert [getattr(factored, c) for c in COUNTERS] == [getattr(dense, c) for c in COUNTERS]
+    assert len(factored.records) == len(dense.records)
+    for a, b in zip(factored.records, dense.records):
+        assert a.passes == b.passes
+        for field in ("train_loss", "test_loss", "train_acc", "test_acc"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert (x is None) == (y is None)
+            if x is not None:
+                assert x == pytest.approx(y, rel=rtol, abs=0.0)
+    # Entry-wise, relative to the largest entry: a coordinate no batch ever
+    # touched is 0 on one path and a rounding residue on the other.
+    np.testing.assert_allclose(factored.w, dense.w, rtol=rtol, atol=rtol * np.abs(dense.w).max())
+
+
+@pytest.mark.parametrize("task, l2", [("logistic", 1e-2), ("ridge", 0.0)])
+@pytest.mark.parametrize("update_freq", [3, "inf"])
+@pytest.mark.parametrize("learning_rate", [None, 0.005])
+def test_factored_sparse_step_matches_materialized_step(monkeypatch, task, l2, update_freq,
+                                                        learning_rate):
+    oracle = csr_oracle(task, l2)
+    config = OptimizerConfig(rank=5, grad_batch_size=32, hess_batch_size=8, update_freq=update_freq,
+                             learning_rate=learning_rate, max_passes=6.0, seed=3)
+    factored, dense = run_both(oracle, config, monkeypatch)
+    assert factored.iterations > 30 and factored.records[-1].train_loss < factored.records[0].train_loss
+    assert_same_run(factored, dense)
+
+
+@pytest.mark.parametrize("decay", [0.9, 1.0, 1.5])
+def test_factored_step_rebases_when_the_scale_collapses(monkeypatch, decay):
+    # eta * l2 / rho = decay: the scale alpha shrinks by 1 - decay every step,
+    # so it crosses the floor every few steps (0.9) or at once (>= 1).
+    oracle = csr_oracle("logistic", 0.05, seed=4)
+    rho = 1e-2
+    config = OptimizerConfig(rank=4, rho=rho, grad_batch_size=40, hess_batch_size=30,
+                             learning_rate=decay * rho / oracle.l2, update_freq=5,
+                             max_passes=2.0, seed=5)
+    factored, dense = run_both(oracle, config, monkeypatch)
+    assert np.isfinite(factored.w).all()
+    assert_same_run(factored, dense)
+
+
+def test_factored_iterate_does_not_depend_on_eval_every():
+    oracle = csr_oracle("logistic", 1e-3, seed=6)
+    config = OptimizerConfig(rank=5, grad_batch_size=20, hess_batch_size=30, max_passes=2.0, seed=7)
+    runs = [sketchysgd_run(oracle, config, eval_every=e) for e in (0.05, 0.5, 10.0)]
+    assert len(runs[0].records) > len(runs[1].records) > len(runs[2].records)
+    for run in runs[1:]:
+        np.testing.assert_array_equal(run.w, runs[0].w)
+        assert run.records[-1].train_loss == runs[0].records[-1].train_loss
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_divergence_detection_on_the_factored_step(monkeypatch):
+    oracle = csr_oracle("ridge", 0.0, seed=8)
+    config = OptimizerConfig(rank=3, grad_batch_size=40, hess_batch_size=30, learning_rate=1e8,
+                             update_freq="inf", max_passes=200.0, seed=9)
+    monkeypatch.setattr(ProblemOracle, "minibatch_gradient", None)  # not on this path
+    with pytest.raises(DivergenceError) as exc:
+        sketchysgd_run(oracle, config, eval_every=1e9)
+    assert 1 <= exc.value.iteration < 2000
+    assert len(exc.value.records) == 1  # the record at w0 survives for partial output
