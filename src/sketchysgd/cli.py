@@ -9,10 +9,15 @@ Three subcommands share one JSON config document::
 Exit codes: 0 ok, 2 config or data error (including a malformed libsvm
 line, a feature index above 2^63 - 1, a non-finite label or value, and a
 repeated seed; each is one ``config error: ...`` line), 3 runtime or
-divergence error, 4 dense diagnostic caps exceeded.  The
-``SKETCHYSGD_NUM_THREADS`` environment variable sizes the thread pool that
-runs independent (optimizer, seed) jobs; each job owns its generator and
-writes its own files, so results do not depend on the pool size.
+divergence error, 4 dense diagnostic caps exceeded.  A ``run`` job that
+diverges or whose sketch or step-size powering fails does not stop the
+others: the manifest is still written, and gives each job a ``status``
+(``ok``, ``diverged`` with its records in ``<file>.csv.partial``, or
+``failed`` with no file) and a one-line ``message``; the exit code is then
+3.  The ``SKETCHYSGD_NUM_THREADS`` environment variable sizes the thread
+pool that runs independent (optimizer, seed) jobs; each job owns its
+generator and writes its own files, so results do not depend on the pool
+size.
 
 Config schema (JSON object)::
 
@@ -398,7 +403,8 @@ class Job:
                          max_passes=cfg.max_passes)
         else:
             entry.update(asdict(cfg))
-        entry["eval_every"] = self.eval_every
+        # The staged runner records at every stage end, whatever eval_every is.
+        entry["eval_every"] = None if self.name == "sketchysgd-theoretical" else self.eval_every
         return _jsonable(entry)
 
     def run(self, oracle: ProblemOracle, test_data: Dataset | None):
@@ -559,16 +565,20 @@ def cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def execute(job):
-        base = out_dir / f"{job.label}_seed{job.seed}"
+        """``(result, file, status, message)``; a failed job leaves the others
+        running and writes no file."""
+        name = f"{job.label}_seed{job.seed}"
         try:
             result = job.run(oracle, test)
         except DivergenceError as exc:
-            Path(f"{base}.csv.partial").write_text(records_to_csv(exc.records))
-            return None, f"{job.label} seed {job.seed}: {exc}"
-        Path(f"{base}.csv").write_text(records_to_csv(result.records))
+            (out_dir / f"{name}.csv.partial").write_text(records_to_csv(exc.records))
+            return None, f"{name}.csv.partial", "diverged", str(exc)
+        except (LearningRateError, SketchNotPsdError) as exc:
+            return None, None, "failed", str(exc)
+        (out_dir / f"{name}.csv").write_text(records_to_csv(result.records))
         if config.get("save_iterates", False):
-            np.save(f"{base}_iterate.npy", result.w)
-        return result, None
+            np.save(out_dir / f"{name}_iterate.npy", result.w)
+        return result, f"{name}.csv", "ok", None
 
     workers = max(1, int(os.environ.get("SKETCHYSGD_NUM_THREADS", "1")))
     if workers > 1 and len(jobs) > 1:
@@ -590,20 +600,25 @@ def cmd_run(args) -> int:
         "config": _jsonable(config),
         "jobs": [
             {
-                "file": f"{job.label}_seed{job.seed}.csv" + ("" if err is None else ".partial"),
+                "file": file,
                 "resolved": job.resolved(),
-                "status": "ok" if err is None else "diverged",
+                "status": status,
+                "message": message,
                 "passes": result.passes if result is not None else None,
             }
-            for job, (result, err) in zip(jobs, outcomes)
+            for job, (result, file, status, message) in zip(jobs, outcomes)
         ],
     }
     (out_dir / "manifest.json").write_text(json.dumps(_jsonable(manifest), indent=2) + "\n")
 
-    failures = [err for _result, err in outcomes if err is not None]
-    for err in failures:
-        print(err, file=sys.stderr)
-    return EXIT_RUNTIME if failures else EXIT_OK
+    # One line per divergent job; a library failure once per distinct reason
+    # (the manifest names every job it stopped).
+    lines = [f"{job.label} seed {job.seed}: {message}" if status == "diverged"
+             else f"runtime error: {message}"
+             for job, (_result, _file, status, message) in zip(jobs, outcomes) if status != "ok"]
+    for line in dict.fromkeys(lines):
+        print(line, file=sys.stderr)
+    return EXIT_RUNTIME if lines else EXIT_OK
 
 
 def cmd_diagnose(args) -> int:

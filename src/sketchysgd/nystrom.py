@@ -17,7 +17,9 @@ with ``c = V.T v``: two passes over the basis, which is stored column-major
 so that each pass reads contiguous columns.  SketchySGD on CSR data does not
 call ``precond_solve`` per step: it applies the same formula to a gradient
 supported on the batch's columns, in factored form, for O(r nnz(batch))
-(see ``optimizers._FactoredIterate``).
+(see ``optimizers._FactoredIterate``).  Its step-size estimate calls
+``precond_inv_sqrt`` once and ``precond_solve`` once per power iteration
+(see ``optimizers.estimate_learning_rate``).
 """
 
 from __future__ import annotations

@@ -23,11 +23,19 @@ A preconditioned step on CSR data without averaging (SketchySGD proper)
 is factored: between two refreshes the preconditioner is fixed, so the
 iterate is kept as ``alpha * w_tilde + V s`` (see :class:`_FactoredIterate`)
 and a step costs O(r nnz(batch)) instead of O(r p): no p-length gradient,
-no ``precond_solve``, no pass over w.  The iterate itself is built, in
-O(r p), only at a refresh, an evaluation and the end of the run.  It is the
-same step as the materialized one, rounded differently (a relative
-difference around 1e-15 on the losses).  Dense data, averaged runs and the
-SGD and SVRG baselines take the materialized step.
+no ``precond_solve``, no pass over w.  Between two refreshes only
+``sample_batch`` draws from the generator, so such a run draws the batches
+of up to ``_BLOCK_ROWS`` rows at once, through the same calls in the same
+order, and gathers their rows and multiplies them by V once per block;
+the extra memory is O(_BLOCK_ROWS r + nnz(block)).  The iterate itself is
+built, in O(r p), only at a refresh, an evaluation and the end of the run.
+It is the same step as the materialized one, rounded differently (a
+relative difference around 1e-15 on the losses).  Dense data, averaged
+runs and the SGD and SVRG baselines take the materialized step.
+
+The step-size estimate runs its power iteration in the |S|-dimensional
+space of the Hessian batch (see :func:`estimate_learning_rate`), with
+:func:`preconditioned_top_eigenvalue` as the generic reference.
 """
 
 from __future__ import annotations
@@ -323,11 +331,39 @@ def estimate_learning_rate(
     ``nys``; the caller draws it with the same size to keep cost accounting
     symmetric.  The minibatch Hessian here excludes the l2 term, matching
     the sketch.
+
+    The powering of :func:`preconditioned_top_eigenvalue` runs in batch
+    space.  With ``H_S = C' C`` (:meth:`ProblemOracle.hessian_factor`,
+    gathered once) and ``B = C P^{-1/2}``, ``P^{-1/2} H_S P^{-1/2} = B' B``,
+    so the reference iterate ``y`` is carried as ``x = B y`` in R^|S|: the
+    Rayleigh quotient is ``||x||^2`` and, with ``u = C' x``, the next iterate
+    is ``C P^{-1} u / sqrt(u' P^{-1} u)``.  The same Gaussian start and retry
+    give the same estimate in exact arithmetic, for one ``precond_inv_sqrt``
+    per start and one ``precond_solve`` and two passes over ``C`` per sweep,
+    in O(p + |S|) memory beyond ``C``.
     """
-    lam = preconditioned_top_eigenvalue(
-        lambda v: oracle.minibatch_hvp(w, fresh_batch, v), nys, rho, power_iters, rng
-    )
-    return lr_scale / lam
+    factor = oracle.hessian_factor(w, fresh_batch)
+    factor_t = factor.T
+    for _ in range(2):
+        z = rng.standard_normal(nys.p)
+        norm_z = float(np.linalg.norm(z))
+        if norm_z == 0.0:
+            continue
+        x = factor @ precond_inv_sqrt(nys, rho, z / norm_z)
+        lam = math.nan
+        for sweep in range(power_iters):
+            lam = float(x @ x)
+            u = factor_t @ x
+            solved = precond_solve(nys, rho, u)
+            norm_sq = float(u @ solved)
+            if not (math.isfinite(lam) and norm_sq > 0.0):
+                break
+            if sweep + 1 < power_iters:
+                x = (factor @ solved) / math.sqrt(norm_sq)
+        else:
+            if lam > 0.0:
+                return lr_scale / lam
+    raise LearningRateError("learning-rate estimation failed")
 
 
 def sketch_hessian(
@@ -347,6 +383,10 @@ def sketch_hessian(
 #: vector; below it the vector's entries grow as 1/alpha.
 _ALPHA_FLOOR = 1e-8
 
+#: Sample rows a factored run draws, gathers and multiplies by the basis at
+#: a time (whole minibatches, at least one).
+_BLOCK_ROWS = 8192
+
 
 class _FactoredIterate:
     """A preconditioned iterate on CSR data between two refreshes.
@@ -361,33 +401,59 @@ class _FactoredIterate:
         alpha <- beta alpha;  w_tilde[cols] -= eta / (rho alpha) G[cols]
         s <- beta s - eta delta;  t <- beta t - (eta / rho) u - eta delta
 
-    This costs O(r nnz(batch)): the margins need ``w`` only at the batch's
-    columns, ``alpha w_tilde[cols] + V[cols] s``, and ``u`` only the same
-    rows of V (kept C-ordered, so each row gathers contiguously).  ``w`` is
-    built, in O(p r), only when asked for.  When alpha falls below
-    ``_ALPHA_FLOOR`` (every step once ``eta * l2 >= rho``) it is first
+    Steps run on a block of prefetched minibatches (:meth:`load`): their
+    rows ``X`` are gathered once and multiplied once by V (kept C-ordered
+    for that product), ``M = X V``.  A step on rows ``X_k`` then needs the
+    margins ``alpha * X_k w_tilde + M_k s`` and ``u = M_k' slope`` for
+    O(nnz(X_k) + r |B|), and updates ``w_tilde`` on the batch's columns
+    only.  ``w`` is built, in O(p r), only when asked for.  When alpha falls
+    below ``_ALPHA_FLOOR`` (every step once ``eta * l2 >= rho``) it is first
     folded into ``w_tilde``, an O(p) re-base.
     """
 
-    def __init__(self, w: np.ndarray, nys: NystromApprox, rho: float, eta: float, l2: float):
+    def __init__(self, w: np.ndarray, nys: NystromApprox, rho: float, eta: float,
+                 oracle: ProblemOracle):
+        self.oracle = oracle
         self.basis = np.ascontiguousarray(nys.basis)
         self.gain = (nys.eigenvalues + rho) ** -1.0 - rho**-1.0
-        self.eta, self.l2, self.step_over_rho = eta, l2, eta / rho
-        self.beta = 1.0 - eta * l2 / rho
+        self.eta, self.l2, self.step_over_rho = eta, oracle.l2, eta / rho
+        self.beta = 1.0 - eta * oracle.l2 / rho
         self.w_tilde, self.alpha, self.s = w.copy(), 1.0, np.zeros(nys.rank)
         self.t = self.basis.T @ w
         self._w = w
-        self._rows = None
+        self._next = self._loaded = 0
 
-    def _at(self, cols: np.ndarray) -> np.ndarray:
-        self._rows = np.take(self.basis, cols, axis=0)
-        return self.alpha * self.w_tilde[cols] + self._rows @ self.s
+    @property
+    def pending(self) -> int:
+        """Loaded minibatches not stepped on yet."""
+        return self._loaded - self._next
 
-    def step(self, oracle: ProblemOracle, batch: np.ndarray) -> bool:
-        """One step on ``batch``; False if alpha, s or a touched entry of
-        ``w_tilde`` is no longer finite."""
-        cols, terms = oracle.gradient_terms(batch, self._at)
-        u = (self._rows.T @ terms) / batch.size
+    def load(self, batches: list[np.ndarray]) -> None:
+        """Gather the rows of ``batches`` (equal sizes) for the next steps.
+
+        Holds ``M`` (rows x r) and the rows' nonzeros until the next load.
+        """
+        size = batches[0].size
+        feats, self._labels = self.oracle.row_block(np.concatenate(batches))
+        self._products = feats @ self.basis
+        self._cols, self._vals = feats.indices, feats.data
+        # each entry's row within its own minibatch
+        self._rows = np.repeat(np.arange(feats.shape[0]) % size, np.diff(feats.indptr))
+        self._bounds = feats.indptr[::size].tolist()
+        self._size, self._next, self._loaded = size, 0, len(batches)
+
+    def step(self) -> bool:
+        """One step on the next loaded minibatch; False if alpha, s or a
+        touched entry of ``w_tilde`` is no longer finite."""
+        j, size = self._next, self._size
+        lo, hi = self._bounds[j], self._bounds[j + 1]
+        rows, cols, vals = self._rows[lo:hi], self._cols[lo:hi], self._vals[lo:hi]
+        products = self._products[j * size:(j + 1) * size]
+        self._next = j + 1
+        z = (self.alpha * np.bincount(rows, weights=vals * self.w_tilde[cols], minlength=size)
+             + products @ self.s)
+        slope = self.oracle.loss_slope(z, self._labels[j * size:(j + 1) * size])
+        u = (products.T @ slope) / size
         delta = self.gain * (u + self.l2 * self.t)
         alpha = self.beta * self.alpha
         finite = math.isfinite(alpha)
@@ -395,7 +461,7 @@ class _FactoredIterate:
             self.w_tilde *= alpha
             alpha = 1.0
         self.alpha = alpha
-        np.subtract.at(self.w_tilde, cols, (self.step_over_rho / (alpha * batch.size)) * terms)
+        np.subtract.at(self.w_tilde, cols, (self.step_over_rho / (alpha * size)) * (vals * slope[rows]))
         self.s = self.beta * self.s - self.eta * delta
         self.t = self.beta * self.t - self.step_over_rho * u - self.eta * delta
         self._w = None
@@ -406,6 +472,24 @@ class _FactoredIterate:
         if self._w is None:
             self._w = self.alpha * self.w_tilde + self.basis @ self.s
         return self._w
+
+
+def _block_steps(cfg: OptimizerConfig, k: int, touched: int, n: int) -> int:
+    """Steps a factored run can prefetch before step ``k + 1``: the loop
+    takes them all, with no refresh between them, unless it diverges.
+
+    At most one block, and never past the next refresh or the last step.
+    ``touched`` is the samples touched before step ``k + 1``.
+    """
+    bg = cfg.grad_batch_size
+    limit = max(1, _BLOCK_ROWS // bg)
+    if math.isfinite(cfg.update_freq):
+        limit = min(limit, int(cfg.update_freq) - k % int(cfg.update_freq))
+    steps = 1
+    # the loop's own condition, checked before each further step
+    while steps < limit and (touched + steps * bg) / n < cfg.max_passes:
+        steps += 1
+    return steps
 
 
 def _drive(
@@ -475,12 +559,18 @@ def _drive(
                 touched += cfg.power_iters * cfg.hess_batch_size
                 lr_estimates += 1
             if factored:
-                state = _FactoredIterate(w, nys, cfg.rho, eta, oracle.l2)
-        batch = sample_batch(rng, n, bg)
+                state = _FactoredIterate(w, nys, cfg.rho, eta, oracle)
+        if state is None:
+            batch = sample_batch(rng, n, bg)
+        elif not state.pending:
+            # Only sample_batch draws from rng until the next refresh, so
+            # drawing these batches now leaves every batch as it was.
+            state.load([sample_batch(rng, n, bg)
+                        for _ in range(_block_steps(cfg, k, touched, n))])
         touched += bg
         k += 1
         if state is not None:
-            if not state.step(oracle, batch):
+            if not state.step():
                 raise DivergenceError(k, recorder.records)
             due = recorder.due(touched / n)
             if due:

@@ -11,6 +11,12 @@ but is deliberately excluded from Hessian-vector products: the curvature
 sketch only ever sees the data part ``(1/|S|) sum_{i in S} d_i a_i a_i'``,
 and the preconditioner regularization absorbs the rest.
 
+Two hooks hand a caller gathered rows to work on without gathering again:
+``row_block`` returns the rows of a block of minibatches and their labels
+(with ``loss_slope`` for the per-sample gradient coefficient), and
+``hessian_factor`` returns ``C`` with ``C' C`` the minibatch Hessian, the
+curvature weights computed once.
+
 Oracles are immutable after construction and safe for concurrent reads.
 """
 
@@ -149,27 +155,23 @@ class ProblemOracle:
         s = expit(self.data.labels[batch] * z)
         return s * (1.0 - s)
 
-    def _loss_slope(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Derivative of each sample's loss with respect to its margin."""
+    def loss_slope(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Derivative of each sample's loss with respect to its margin ``z``."""
         if self.task == "ridge":
             return z - y
         # d/dz log(1 + exp(-y z)) = -y sigma(-y z)
         return -y * expit(-y * z)
 
-    def gradient_terms(self, batch: np.ndarray, iterate_at) -> tuple[np.ndarray, np.ndarray]:
-        """Data part of a CSR minibatch gradient, one term per gathered nonzero.
+    def row_block(self, batch: np.ndarray):
+        """The rows ``batch`` of the features, in the given order, and their labels.
 
-        ``batch`` holds valid row indices (as drawn by :func:`sample_batch`)
-        and ``iterate_at(cols)`` returns the iterate at the given columns.
-        Returns ``(cols, terms)``: the terms summed by column are
-        ``sum_{i in B} grad f_i(w)``, before the division by ``|B|`` and
-        without the l2 term.  The cost is O(nnz(batch)) plus whatever
-        ``iterate_at`` costs, which lets a caller that keeps its iterate in
-        factored form step without touching all p coordinates.
+        ``batch`` holds valid row indices (as drawn by :func:`sample_batch`);
+        it may concatenate several minibatches.  One row gather, so a caller
+        that steps through many minibatches can pay for it once: SketchySGD
+        on CSR data forms ``features[batch] @ V`` for a whole block of
+        prefetched minibatches (see ``optimizers._FactoredIterate``).
         """
-        rows, cols, vals = self._gather_rows(batch)
-        z = np.bincount(rows, weights=vals * iterate_at(cols), minlength=batch.size)
-        return cols, vals * self._loss_slope(z, self.data.labels[batch])[rows]
+        return self.data.features[batch], self.data.labels[batch]
 
     def minibatch_gradient(self, w: np.ndarray, batch: np.ndarray) -> np.ndarray:
         """``(1/|B|) sum_{i in B} grad f_i(w) + l2 * w``."""
@@ -177,11 +179,13 @@ class ProblemOracle:
         batch = self._check_batch(batch)
         full = self._is_full(batch)
         if self.data.is_sparse and not full:
-            cols, terms = self.gradient_terms(batch, w.__getitem__)
-            grad = np.bincount(cols, weights=terms, minlength=self.p)
+            rows, cols, vals = self._gather_rows(batch)
+            z = np.bincount(rows, weights=vals * w[cols], minlength=batch.size)
+            slope = self.loss_slope(z, self.data.labels[batch])
+            grad = np.bincount(cols, weights=vals * slope[rows], minlength=self.p)
         else:
             feats = self.data.features if full else self.data.features[batch]
-            coeff = self._loss_slope(np.asarray(feats @ w).ravel(), self.data.labels[batch])
+            coeff = self.loss_slope(np.asarray(feats @ w).ravel(), self.data.labels[batch])
             grad = np.asarray(feats.T @ coeff).ravel()
         return grad / batch.size + self.l2 * w
 
@@ -213,9 +217,30 @@ class ProblemOracle:
             return np.bincount(cols, weights=vals * weighted[rows], minlength=self.p) / batch.size
         feats = self.data.features[batch]
         av = np.asarray(feats @ v)
-        d = self.curvature_weights(w, batch)
-        weighted = av * (d[:, None] if av.ndim == 2 else d)
-        return np.asarray(feats.T @ weighted) / batch.size
+        # Scaled by 1/|S| here, on |S| rows, rather than on the p x r product.
+        d = self.curvature_weights(w, batch) / batch.size
+        return np.asarray(feats.T @ (av * (d[:, None] if av.ndim == 2 else d)))
+
+    def hessian_factor(self, w: np.ndarray, batch: np.ndarray):
+        """``C = diag(sqrt(d_i(w) / |S|)) A_S``, so that ``C' C`` is the
+        minibatch Hessian of :meth:`minibatch_hvp` (l2 excluded).
+
+        CSR for sparse data, dense otherwise, with the curvature weights
+        computed once.  Step-size powering works on ``C`` in the |S|-dimensional
+        batch space (see ``optimizers.estimate_learning_rate``) instead of
+        gathering the batch again for every Hessian-vector product.
+        """
+        w = self._check_w(w)
+        batch = self._check_batch(batch)
+        feats = self.data.features[batch]
+        d = np.ones(batch.size) if self.task == "ridge" else self._logistic_weights(
+            np.asarray(feats @ w).ravel(), batch)
+        scale = np.sqrt(d / batch.size)
+        if sp.issparse(feats):
+            values = feats.data * np.repeat(scale, np.diff(feats.indptr))
+            return sp.csr_matrix((values, feats.indices, feats.indptr), shape=feats.shape)
+        feats *= scale[:, None]  # a float64 copy of the rows
+        return feats
 
     def hessian_matrix(self, w: np.ndarray, batch: np.ndarray | None = None) -> np.ndarray:
         """Dense ``(1/|S|) A_S' D A_S`` (l2 excluded) for diagnostics and tests."""

@@ -204,13 +204,16 @@ def test_divergent_job_writes_partial_and_exits_3(workspace, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     statuses = {job["file"]: job["status"] for job in manifest["jobs"]}
     assert statuses["sgd_seed0.csv.partial"] == "diverged"
+    messages = {job["file"]: job["message"] for job in manifest["jobs"]}
+    assert messages["sgd_seed0.csv.partial"].startswith("divergence detected at iteration")
+    assert messages["sketchysgd_seed0.csv"] is None
 
 
 @pytest.mark.parametrize(
     "error", [LearningRateError("learning-rate estimation failed"), SketchNotPsdError("sketch not PSD")]
 )
 def test_library_runtime_errors_exit_3(workspace, monkeypatch, capsys, error):
-    _, cfg_path, _ = workspace
+    tmp_path, cfg_path, _ = workspace
 
     def failing_run(*args, **kwargs):
         raise error
@@ -218,6 +221,13 @@ def test_library_runtime_errors_exit_3(workspace, monkeypatch, capsys, error):
     monkeypatch.setattr(cli, "sketchysgd_run", failing_run)
     assert main(["run", str(cfg_path)]) == 3
     assert capsys.readouterr().err == f"runtime error: {error}\n"
+    # the other jobs still ran, and the manifest names the failed ones
+    out = tmp_path / "out"
+    assert sorted(f.name for f in out.glob("*.csv*")) == [f"sgd_seed{s}.csv" for s in range(3)]
+    jobs = json.loads((out / "manifest.json").read_text())["jobs"]
+    assert [(job["file"], job["status"], job["message"]) for job in jobs] == [
+        (None, "failed", str(error))] * 3 + [(f"sgd_seed{s}.csv", "ok", None) for s in range(3)]
+    assert [job["passes"] for job in jobs[:3]] == [None] * 3
 
 
 def test_validate_rejects_fractional_update_freq(workspace, capsys):
@@ -356,6 +366,10 @@ def test_theoretical_optimizer_and_inf_update_freq(workspace, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     frozen = next(j for j in manifest["jobs"] if j["file"].startswith("frozen"))
     assert frozen["resolved"]["update_freq"] == "inf"
+    # the staged runner records at stage ends, so it has no eval_every
+    staged = next(j for j in manifest["jobs"] if j["file"].startswith("sketchysgd-theoretical"))
+    assert staged["resolved"]["eval_every"] is None
+    assert frozen["resolved"]["eval_every"] == 1.0
 
 
 def test_run_head_to_head_benchmark_from_config(tmp_path):

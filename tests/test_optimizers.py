@@ -442,3 +442,95 @@ def test_divergence_detection_on_the_factored_step(monkeypatch):
         sketchysgd_run(oracle, config, eval_every=1e9)
     assert 1 <= exc.value.iteration < 2000
     assert len(exc.value.records) == 1  # the record at w0 survives for partial output
+
+
+def with_empty_rows(oracle, empty):
+    """The same problem with the rows ``empty`` cleared."""
+    keep = np.ones(oracle.n)
+    keep[empty] = 0.0
+    feats = sp.csr_matrix(sp.diags(keep) @ oracle.data.features)
+    feats.eliminate_zeros()
+    return ProblemOracle(Dataset(feats, oracle.data.labels), oracle.task, oracle.l2)
+
+
+def powering_problem(kind):
+    if kind == "dense-ridge":
+        ds, _ = planted_least_squares(300, 40, condition=1e3, seed=5)
+        oracle = ProblemOracle(ds, "ridge", 0.0)
+    else:
+        oracle = csr_oracle("logistic", 1e-2, seed=10)
+    if kind == "csr-empty-rows":
+        oracle = with_empty_rows(oracle, np.arange(0, oracle.n, 3))
+    rng = make_rng(11)
+    w = 0.3 * rng.standard_normal(oracle.p)
+    sketch_batch = sample_batch(rng, oracle.n, 40)
+    nys = rand_nys_approx(lambda v: oracle.minibatch_hvp(w, sketch_batch, v), oracle.p, 6, rng)
+    return oracle, nys, 1e-3 * oracle.smoothness_upper_bound, w
+
+
+@pytest.mark.parametrize("kind", ["dense-ridge", "csr-logistic", "csr-empty-rows"])
+@pytest.mark.parametrize("power_iters", [1, 10])
+def test_batch_space_powering_matches_reference_powering(kind, power_iters):
+    oracle, nys, rho, w = powering_problem(kind)
+    batch = sample_batch(make_rng(12), oracle.n, 25)
+    if kind == "csr-empty-rows":
+        assert (oracle.data.features[batch].getnnz(axis=1) == 0).any()
+    rng, ref_rng = make_rng(13), make_rng(13)
+    eta = optimizers.estimate_learning_rate(oracle, nys, rho, w, batch, power_iters, rng, 0.5)
+    lam = preconditioned_top_eigenvalue(lambda v: oracle.minibatch_hvp(w, batch, v), nys, rho,
+                                        power_iters, ref_rng)
+    assert eta == pytest.approx(0.5 / lam, rel=1e-12, abs=0.0)
+    assert rng.standard_normal() == ref_rng.standard_normal()  # same draws consumed
+
+
+@pytest.mark.parametrize("sparse", [True, False])
+def test_batch_space_powering_on_an_all_zero_batch_raises(sparse):
+    oracle, nys, rho, w = powering_problem("csr-empty-rows")
+    if not sparse:
+        oracle = ProblemOracle(Dataset(oracle.data.dense_features(), oracle.data.labels),
+                               oracle.task, oracle.l2)
+    batch = np.arange(0, 30, 3)  # every one of these rows is empty
+    rng, ref_rng = make_rng(14), make_rng(14)
+    with pytest.raises(optimizers.LearningRateError):
+        optimizers.estimate_learning_rate(oracle, nys, rho, w, batch, 10, rng)
+    with pytest.raises(optimizers.LearningRateError):
+        preconditioned_top_eigenvalue(lambda v: oracle.minibatch_hvp(w, batch, v), nys, rho, 10,
+                                      ref_rng)
+    assert rng.standard_normal() == ref_rng.standard_normal()  # both retried once
+
+
+@pytest.mark.parametrize("block_rows, update_freq, max_passes", [
+    (64, 3, 3.0),       # refreshes more often than a block of 4 steps
+    (64, 4, 3.0),       # at the block length
+    (64, 7, 3.0),       # less often: every other block is cut by a refresh
+    (64, "inf", 3.0),
+    (64, "inf", 2.9),   # the run ends partway through a block
+    (8, 5, 2.0),        # a block smaller than one batch still holds one
+    (None, 50, 4.0),    # the default block is longer than the run
+])
+def test_prefetched_batches_are_the_batches_of_the_materialized_loop(monkeypatch, block_rows,
+                                                                      update_freq, max_passes):
+    oracle = csr_oracle("logistic", 1e-2, seed=15)
+    if block_rows is not None:
+        monkeypatch.setattr(optimizers, "_BLOCK_ROWS", block_rows)
+    block = max(1, optimizers._BLOCK_ROWS // 16)
+    config = OptimizerConfig(rank=5, grad_batch_size=16, hess_batch_size=8, update_freq=update_freq,
+                             max_passes=max_passes, seed=16)
+    cfg = resolve_config(config, oracle)
+    draws, loads = [], []
+    monkeypatch.setattr(optimizers, "sample_batch",
+                        lambda rng, n, b: draws[-1].append(sample_batch(rng, n, b)) or draws[-1][-1])
+    load = optimizers._FactoredIterate.load
+    monkeypatch.setattr(optimizers._FactoredIterate, "load",
+                        lambda self, batches: loads.append(len(batches)) or load(self, batches))
+    runs = []
+    for factored in (True, False):
+        draws.append([])
+        runs.append(optimizers._drive(oracle, cfg, None, 1.0, None, precondition=True,
+                                      factor_sparse_steps=factored))
+    assert len(draws[0]) == len(draws[1])
+    assert all(np.array_equal(a, b) for a, b in zip(*draws))
+    assert_same_run(*runs)
+    assert sum(loads) == runs[0].iterations and max(loads) == min(block, cfg.update_freq)
+    if max_passes == 2.9:
+        assert loads[-1] < block

@@ -289,3 +289,31 @@ def test_accuracy_ties_count_positive():
     # w = 0 gives zero margin everywhere: ties predict +1
     assert oracle.accuracy(np.zeros(1)) == pytest.approx(2.0 / 3.0)
     assert oracle.accuracy(np.ones(1)) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("task", ["ridge", "logistic"])
+@pytest.mark.parametrize("sparse", [True, False])
+def test_hessian_factor_squares_to_the_minibatch_hessian(task, sparse):
+    oracle = sparse_oracle_with_empty_row(task)
+    if not sparse:
+        oracle = ProblemOracle(Dataset(oracle.data.dense_features(), oracle.data.labels), task, 0.05)
+    rng = make_rng(35)
+    w = rng.standard_normal(oracle.p)
+    batch = np.array([0, 3, 9, 17, 30])  # row 3 is empty
+    factor = oracle.hessian_factor(w, batch)
+    assert sp.issparse(factor) == sparse and factor.shape == (batch.size, oracle.p)
+    gram = factor.T @ factor
+    gram = gram.toarray() if sparse else gram
+    np.testing.assert_allclose(gram, oracle.hessian_matrix(w, batch), rtol=1e-12, atol=1e-15)
+    before = oracle.data.features.copy()
+    oracle.hessian_factor(w, batch)
+    assert (abs(oracle.data.features - before)).max() == 0.0  # the data is not scaled in place
+
+
+def test_row_block_keeps_order_and_repeats():
+    oracle = sparse_oracle_with_empty_row("logistic")
+    batch = np.array([7, 2, 7, 3, 30])
+    feats, labels = oracle.row_block(batch)
+    dense = oracle.data.dense_features()
+    np.testing.assert_array_equal(feats.toarray(), dense[batch])
+    np.testing.assert_array_equal(labels, oracle.data.labels[batch])
