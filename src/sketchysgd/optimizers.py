@@ -19,19 +19,22 @@ charged), and records losses on a pass schedule, or at every stage end when
 averaging.  Runs are bit-reproducible from (config, seed, dataset) apart
 from wall-clock fields.
 
-A preconditioned step on CSR data without averaging (SketchySGD proper)
-is factored: between two refreshes the preconditioner is fixed, so the
-iterate is kept as ``alpha * w_tilde + V s`` (see :class:`_FactoredIterate`)
-and a step costs O(r nnz(batch)) instead of O(r p): no p-length gradient,
-no ``precond_solve``, no pass over w.  Between two refreshes only
-``sample_batch`` draws from the generator, so such a run draws the batches
-of up to ``_BLOCK_ROWS`` rows at once, through the same calls in the same
-order, and gathers their rows and multiplies them by V once per block;
-the extra memory is O(_BLOCK_ROWS r + nnz(block)).  The iterate itself is
-built, in O(r p), only at a refresh, an evaluation and the end of the run.
-It is the same step as the materialized one, rounded differently (a
-relative difference around 1e-15 on the losses).  Dense data, averaged
-runs and the SGD and SVRG baselines take the materialized step.
+On CSR data every runner but SVRG takes a factored step: between two
+refreshes the preconditioner is fixed, so the iterate is kept as
+``alpha * w_tilde + V s`` (see :class:`_FactoredIterate`) and a step costs
+O(r nnz(batch)) instead of O(r p): no p-length gradient, no
+``precond_solve``, no pass over w.  SGD is that step with the rank-zero
+preconditioner and ``rho = 1`` (P = I, never refreshed), in O(nnz(batch)).
+The staged variant keeps its stage sum in the same lazy form, for
+O(nnz(batch)) more per step and O(r p) to form the average at a stage end.
+Between two refreshes only ``sample_batch`` draws from the generator, so
+such a run draws the batches of up to ``_BLOCK_ROWS`` rows at once, through
+the same calls in the same order, and gathers their rows and multiplies
+them by V once per block; the extra memory is O(_BLOCK_ROWS r +
+nnz(block)).  The iterate itself is built, in O(r p), only at a refresh,
+an evaluation, a stage end and the end of the run.  It is the same step as
+the materialized one, rounded differently (a relative difference around
+1e-15 on the losses).  Dense data and SVRG take the materialized step.
 
 The step-size estimate runs its power iteration in the |S|-dimensional
 space of the Hessian batch (see :func:`estimate_learning_rate`), with
@@ -389,7 +392,7 @@ _BLOCK_ROWS = 8192
 
 
 class _FactoredIterate:
-    """A preconditioned iterate on CSR data between two refreshes.
+    """An iterate on CSR data between two preconditioner refreshes.
 
     While ``P = V diag(lam) V' + rho I`` is fixed, the iterate is kept as
     ``w = alpha * w_tilde + V s``, with ``t = V' w``.  Let ``G`` be the data
@@ -401,6 +404,10 @@ class _FactoredIterate:
         alpha <- beta alpha;  w_tilde[cols] -= eta / (rho alpha) G[cols]
         s <- beta s - eta delta;  t <- beta t - (eta / rho) u - eta delta
 
+    Plain SGD is the same step with the rank-zero approximation and
+    ``rho = 1`` (``P = I``): the classic scaled, lazily regularized sparse
+    step.
+
     Steps run on a block of prefetched minibatches (:meth:`load`): their
     rows ``X`` are gathered once and multiplied once by V (kept C-ordered
     for that product), ``M = X V``.  A step on rows ``X_k`` then needs the
@@ -409,19 +416,38 @@ class _FactoredIterate:
     only.  ``w`` is built, in O(p r), only when asked for.  When alpha falls
     below ``_ALPHA_FLOOR`` (every step once ``eta * l2 >= rho``) it is first
     folded into ``w_tilde``, an O(p) re-base.
+
+    Given a ``stage_sum`` (the sum of the current stage's iterates so far),
+    the iterate also keeps adding its steps to it, in the lazy form of
+    averaged sparse SGD: with ``A`` the sum of the alphas since the last
+    re-base, ``sum alpha_k w_tilde_k = A w_tilde - offset``, where a step
+    adds ``A`` times its change of ``w_tilde`` to ``offset`` on the batch's
+    columns, and ``sum s_k`` is kept as an r-vector.  That is O(nnz(X_k))
+    more per step; a re-base also folds ``A w_tilde - offset`` into the
+    dense carry, in O(p), and :meth:`stage_sum` builds the sum in O(p r).
     """
 
     def __init__(self, w: np.ndarray, nys: NystromApprox, rho: float, eta: float,
-                 oracle: ProblemOracle):
+                 oracle: ProblemOracle, stage_sum: np.ndarray | None = None):
         self.oracle = oracle
         self.basis = np.ascontiguousarray(nys.basis)
         self.gain = (nys.eigenvalues + rho) ** -1.0 - rho**-1.0
         self.eta, self.l2, self.step_over_rho = eta, oracle.l2, eta / rho
         self.beta = 1.0 - eta * oracle.l2 / rho
-        self.w_tilde, self.alpha, self.s = w.copy(), 1.0, np.zeros(nys.rank)
+        self.averaging = stage_sum is not None
+        self.restart(w, stage_sum)
+        self._next = self._loaded = 0
+
+    def restart(self, w: np.ndarray, stage_sum: np.ndarray | None) -> None:
+        """Re-base at ``w``, which becomes the built iterate, with
+        ``stage_sum`` as the stage sum when averaging; the loaded block
+        stays valid, since ``M = X V`` does not depend on w."""
+        self.w_tilde, self.alpha, self.s = w.copy(), 1.0, np.zeros(self.gain.size)
         self.t = self.basis.T @ w
         self._w = w
-        self._next = self._loaded = 0
+        if self.averaging:
+            self._carry, self._scale_sum = stage_sum, 0.0
+            self._offset, self._s_sum = np.zeros(w.size), np.zeros(self.gain.size)
 
     @property
     def pending(self) -> int:
@@ -443,8 +469,15 @@ class _FactoredIterate:
         self._size, self._next, self._loaded = size, 0, len(batches)
 
     def step(self) -> bool:
-        """One step on the next loaded minibatch; False if alpha, s or a
-        touched entry of ``w_tilde`` is no longer finite."""
+        """One step on the next loaded minibatch; False if alpha, s, the
+        margins or the update terms are no longer finite.
+
+        The margins read ``w_tilde`` on the batch's columns before the
+        update, so a non-finite entry is caught by the next step that
+        touches it.  An update that overflows in the subtraction itself is
+        caught there too, or, if no later step touches that column, by the
+        loop's check of the next built iterate.
+        """
         j, size = self._next, self._size
         lo, hi = self._bounds[j], self._bounds[j + 1]
         rows, cols, vals = self._rows[lo:hi], self._cols[lo:hi], self._vals[lo:hi]
@@ -458,14 +491,24 @@ class _FactoredIterate:
         alpha = self.beta * self.alpha
         finite = math.isfinite(alpha)
         if not alpha >= _ALPHA_FLOOR:
+            if self.averaging:
+                self._carry += self._scale_sum * self.w_tilde - self._offset
+                self._scale_sum = 0.0
+                self._offset.fill(0.0)
             self.w_tilde *= alpha
             alpha = 1.0
         self.alpha = alpha
-        np.subtract.at(self.w_tilde, cols, (self.step_over_rho / (alpha * size)) * (vals * slope[rows]))
+        terms = (self.step_over_rho / (alpha * size)) * (vals * slope[rows])
+        np.subtract.at(self.w_tilde, cols, terms)
         self.s = self.beta * self.s - self.eta * delta
         self.t = self.beta * self.t - self.step_over_rho * u - self.eta * delta
+        if self.averaging:
+            np.subtract.at(self._offset, cols, self._scale_sum * terms)
+            self._scale_sum += alpha
+            self._s_sum += self.s
         self._w = None
-        return finite and bool(np.isfinite(self.s).all() and np.isfinite(self.w_tilde[cols]).all())
+        return finite and bool(np.isfinite(z).all() and np.isfinite(terms).all()
+                               and np.isfinite(self.s).all())
 
     def iterate(self) -> np.ndarray:
         """``w = alpha * w_tilde + V s`` (cached until the next step)."""
@@ -473,18 +516,25 @@ class _FactoredIterate:
             self._w = self.alpha * self.w_tilde + self.basis @ self.s
         return self._w
 
+    def stage_sum(self) -> np.ndarray:
+        """The stage sum given at the last (re)start plus every iterate
+        stepped to since: ``carry + A w_tilde - offset + V sum s_k``."""
+        return (self._carry + self._scale_sum * self.w_tilde - self._offset
+                + self.basis @ self._s_sum)
 
-def _block_steps(cfg: OptimizerConfig, k: int, touched: int, n: int) -> int:
+
+def _block_steps(cfg: OptimizerConfig, update_freq: float, k: int, touched: int, n: int) -> int:
     """Steps a factored run can prefetch before step ``k + 1``: the loop
     takes them all, with no refresh between them, unless it diverges.
 
-    At most one block, and never past the next refresh or the last step.
-    ``touched`` is the samples touched before step ``k + 1``.
+    At most one block, and never past the next refresh (every
+    ``update_freq`` steps) or the last step.  ``touched`` is the samples
+    touched before step ``k + 1``.
     """
     bg = cfg.grad_batch_size
     limit = max(1, _BLOCK_ROWS // bg)
-    if math.isfinite(cfg.update_freq):
-        limit = min(limit, int(cfg.update_freq) - k % int(cfg.update_freq))
+    if math.isfinite(update_freq):
+        limit = min(limit, int(update_freq) - k % int(update_freq))
     steps = 1
     # the loop's own condition, checked before each further step
     while steps < limit and (touched + steps * bg) / n < cfg.max_passes:
@@ -492,6 +542,7 @@ def _block_steps(cfg: OptimizerConfig, k: int, touched: int, n: int) -> int:
     return steps
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _drive(
     oracle: ProblemOracle,
     cfg: OptimizerConfig,
@@ -509,9 +560,13 @@ def _drive(
     ``max_passes`` passes; the last stage of an averaged run may be cut
     short.  The iterate is checked for finiteness and offered to the
     recorder after every step, or after every stage when averaging.  Wall
-    time covers the optimization work only.  Preconditioned, unaveraged
-    steps on CSR data use :class:`_FactoredIterate` unless
-    ``factor_sparse_steps`` is False.
+    time covers the optimization work only.  Every run on CSR data but
+    SVRG steps through :class:`_FactoredIterate` unless
+    ``factor_sparse_steps`` is False: SGD with the rank-zero
+    preconditioner and ``rho = 1``, an averaged run adding each step to the
+    stage sum in O(nnz(batch)) and forming the average in O(p r) at a stage
+    end.  Divergence is detected explicitly (:class:`DivergenceError`), so
+    the arithmetic runs with overflow and invalid-value warnings off.
     """
     n, bg = oracle.n, cfg.grad_batch_size
     rng = make_rng(cfg.seed)
@@ -520,13 +575,15 @@ def _drive(
     recorder.finalize(w, 0.0, 0.0, 0)
     record = recorder.finalize if average else recorder.maybe_record
 
-    nys = state = None
-    factored = (factor_sparse_steps and precondition and not (svrg or average)
-                and oracle.data.is_sparse)
+    factored = factor_sparse_steps and not svrg and oracle.data.is_sparse
+    # SGD is the preconditioned step with P = I, never refreshed
+    nys, rho = (None, cfg.rho) if precondition else (NystromApprox.rank_zero(oracle.p), 1.0)
+    update_freq = cfg.update_freq if precondition else math.inf
     eta = cfg.learning_rate if isinstance(cfg.learning_rate, (int, float)) else None
     estimate = precondition and eta is None
     epoch = math.ceil(n / bg)
     stage_sum, produced = np.zeros(oracle.p) if average else None, 0
+    state = None
     # Sample rows touched, kept as an integer so that the passes equal the
     # analytic b_g*K/n + sum_j (r+q)*b_h/n (+1 per snapshot) to the last bit.
     touched = k = updates = lr_estimates = snapshots = 0
@@ -543,11 +600,14 @@ def _drive(
             if touched / n >= cfg.max_passes:
                 break
             tic = time.perf_counter()
-        if precondition and (
-            k == 0 or (math.isfinite(cfg.update_freq) and k % int(cfg.update_freq) == 0)
-        ):
+        refresh = precondition and (
+            k == 0 or (math.isfinite(update_freq) and k % int(update_freq) == 0)
+        )
+        if refresh:
             if state is not None:
                 w = state.iterate()
+                if average:
+                    stage_sum = state.stage_sum()
             nys = sketch_hessian(oracle, cfg, w, rng)
             touched += cfg.rank * cfg.hess_batch_size
             updates += 1
@@ -558,20 +618,37 @@ def _drive(
                 )
                 touched += cfg.power_iters * cfg.hess_batch_size
                 lr_estimates += 1
-            if factored:
-                state = _FactoredIterate(w, nys, cfg.rho, eta, oracle)
+        if factored and (refresh or state is None):
+            state = _FactoredIterate(w, nys, rho, eta, oracle, stage_sum)
         if state is None:
             batch = sample_batch(rng, n, bg)
         elif not state.pending:
             # Only sample_batch draws from rng until the next refresh, so
             # drawing these batches now leaves every batch as it was.
             state.load([sample_batch(rng, n, bg)
-                        for _ in range(_block_steps(cfg, k, touched, n))])
+                        for _ in range(_block_steps(cfg, update_freq, k, touched, n))])
         touched += bg
         k += 1
         if state is not None:
             if not state.step():
                 raise DivergenceError(k, recorder.records)
+        else:
+            grad = oracle.minibatch_gradient(w, batch)
+            if svrg:
+                grad = grad - oracle.minibatch_gradient(w_snap, batch) + mu
+            w = w - eta * (precond_solve(nys, cfg.rho, grad) if precondition else grad)
+            if average:
+                stage_sum += w
+        if average:
+            produced += 1
+            if produced < cfg.stage_length and touched / n < cfg.max_passes:
+                wall += time.perf_counter() - tic
+                continue
+            w = (stage_sum if state is None else state.stage_sum()) / produced
+            stage_sum, produced = np.zeros(oracle.p), 0
+            if state is not None:
+                state.restart(w, stage_sum)
+        elif state is not None:
             due = recorder.due(touched / n)
             if due:
                 w = state.iterate()
@@ -579,17 +656,6 @@ def _drive(
             if due:
                 recorder.maybe_record(w, touched / n, wall, k)
             continue
-        grad = oracle.minibatch_gradient(w, batch)
-        if svrg:
-            grad = grad - oracle.minibatch_gradient(w_snap, batch) + mu
-        w = w - eta * (precond_solve(nys, cfg.rho, grad) if precondition else grad)
-        if average:
-            stage_sum += w
-            produced += 1
-            if produced < cfg.stage_length and touched / n < cfg.max_passes:
-                wall += time.perf_counter() - tic
-                continue
-            w, stage_sum, produced = stage_sum / produced, np.zeros(oracle.p), 0
         wall += time.perf_counter() - tic
         if not np.all(np.isfinite(w)):
             raise DivergenceError(k, recorder.records)

@@ -193,8 +193,7 @@ def test_divergent_job_writes_partial_and_exits_3(workspace, capsys):
     ]
     config["output_dir"] = str(tmp_path / "diverge")
     cfg_path = write_config(tmp_path, config, "diverge.json")
-    with np.errstate(over="ignore"):
-        assert main(["run", str(cfg_path)]) == 3
+    assert main(["run", str(cfg_path)]) == 3
     out = tmp_path / "diverge"
     partials = [f.name for f in out.glob("*.partial")]
     assert partials and all(name.startswith("sgd") for name in partials)

@@ -362,18 +362,37 @@ def csr_oracle(task, l2, n=400, p=60, seed=0):
     return ProblemOracle(Dataset(feats, labels), task, l2)
 
 
-def run_both(oracle, config, monkeypatch, eval_every=0.5):
-    """The factored sparse step and the materialized one on the same job."""
-    calls = []
+def run_both(oracle, config, monkeypatch, eval_every=0.5, runner="sketchysgd"):
+    """The factored sparse step and the materialized one on the same job.
+
+    ``runner`` is ``"sketchysgd"``, ``"staged"`` (the theoretical variant)
+    or ``"sgd"``.  The factored run may neither build a p-length gradient
+    nor call ``precond_solve`` per step.
+    """
+    gradients, solves = [], []
     gradient = ProblemOracle.minibatch_gradient
     monkeypatch.setattr(ProblemOracle, "minibatch_gradient",
-                        lambda self, w, batch: calls.append(1) or gradient(self, w, batch))
-    cfg = resolve_config(config, oracle)
-    factored = sketchysgd_run(oracle, config, eval_every=eval_every)
-    assert calls == []  # the factored step never builds a p-length gradient
-    dense = optimizers._drive(oracle, cfg, None, eval_every, None, precondition=True,
-                              factor_sparse_steps=False)
-    assert len(calls) == dense.iterations
+                        lambda self, w, batch: gradients.append(1) or gradient(self, w, batch))
+    monkeypatch.setattr(optimizers, "precond_solve",
+                        lambda *args: solves.append(1) or precond_solve(*args))
+    if runner == "sgd":
+        cfg = resolve_baseline_config(config, oracle)
+        factored = sgd_run(oracle, config.learning_rate, config.grad_batch_size, config.max_passes,
+                           config.seed, eval_every=eval_every)
+        flags = {}
+    elif runner == "staged":
+        cfg, eval_every = resolve_config(config, oracle), math.inf
+        factored = sketchysgd_theoretical_run(oracle, config)
+        flags = dict(precondition=True, average=True)
+    else:
+        cfg = resolve_config(config, oracle)
+        factored = sketchysgd_run(oracle, config, eval_every=eval_every)
+        flags = dict(precondition=True)
+    assert gradients == []  # the factored step never builds a p-length gradient
+    assert len(solves) == cfg.power_iters * factored.lr_estimates  # only the step-size powering
+    dense = optimizers._drive(oracle, cfg, None, eval_every, None, factor_sparse_steps=False,
+                              **flags)
+    assert len(gradients) == dense.iterations
     return factored, dense
 
 
@@ -442,6 +461,91 @@ def test_divergence_detection_on_the_factored_step(monkeypatch):
         sketchysgd_run(oracle, config, eval_every=1e9)
     assert 1 <= exc.value.iteration < 2000
     assert len(exc.value.records) == 1  # the record at w0 survives for partial output
+
+
+@pytest.mark.parametrize("task, l2", [("logistic", 1e-2), ("ridge", 0.0)])
+@pytest.mark.parametrize("update_freq", [3, 4, 5, "inf"])
+@pytest.mark.parametrize("stage_length", [3, 4, 7])
+@pytest.mark.parametrize("learning_rate", [AUTO, 0.005])
+def test_factored_staged_run_matches_materialized_run(monkeypatch, task, l2, update_freq,
+                                                      stage_length, learning_rate):
+    oracle = csr_oracle(task, l2)
+    config = OptimizerConfig(mode="theoretical", rank=5, grad_batch_size=32, hess_batch_size=8,
+                             update_freq=update_freq, stage_length=stage_length,
+                             learning_rate=learning_rate, max_passes=6.0, seed=3)
+    factored, dense = run_both(oracle, config, monkeypatch, runner="staged")
+    assert len(factored.records) > 5 and factored.records[-1].train_loss < factored.records[0].train_loss
+    assert_same_run(factored, dense)
+
+
+@pytest.mark.parametrize("decay", [0.9, 1.0, 1.5])
+@pytest.mark.parametrize("stage_length", [3, 7])
+def test_factored_staged_run_rebases_when_the_scale_collapses(monkeypatch, decay, stage_length):
+    # as in the unaveraged case, with the stage sum folded at every re-base
+    oracle = csr_oracle("logistic", 0.05, seed=4)
+    rho = 1e-2
+    config = OptimizerConfig(mode="theoretical", rank=4, rho=rho, grad_batch_size=40,
+                             hess_batch_size=30, learning_rate=decay * rho / oracle.l2,
+                             update_freq=5, stage_length=stage_length, max_passes=2.0, seed=5)
+    factored, dense = run_both(oracle, config, monkeypatch, runner="staged")
+    assert np.isfinite(factored.w).all()
+    assert_same_run(factored, dense)
+
+
+@pytest.mark.parametrize("task", ["logistic", "ridge"])
+@pytest.mark.parametrize("l2", [0.0, 1e-2])
+@pytest.mark.parametrize("learning_rate", [None, 0.02])
+def test_factored_sgd_matches_materialized_sgd(monkeypatch, task, l2, learning_rate):
+    oracle = csr_oracle(task, l2)
+    config = OptimizerConfig(grad_batch_size=32, learning_rate=learning_rate, max_passes=6.0,
+                             seed=3)
+    factored, dense = run_both(oracle, config, monkeypatch, runner="sgd")
+    assert factored.iterations > 30 and factored.records[-1].train_loss < factored.records[0].train_loss
+    assert_same_run(factored, dense)
+
+
+def test_theoretical_stage_one_matches_practical_fixed_lr_on_csr_data():
+    oracle = csr_oracle("ridge", 0.0, seed=11)
+    base = dict(rank=4, grad_batch_size=16, hess_batch_size=12, max_passes=4.0, seed=3,
+                learning_rate=0.005)
+    res_p = sketchysgd_run(oracle, OptimizerConfig(**base))
+    res_t = sketchysgd_theoretical_run(
+        oracle, OptimizerConfig(mode="theoretical", stage_length=1, **base)
+    )
+    assert res_p.iterations == res_t.iterations
+    # the staged run re-bases its factored iterate at every stage end
+    np.testing.assert_allclose(res_t.w, res_p.w, rtol=1e-10, atol=1e-10 * np.abs(res_p.w).max())
+
+
+def test_divergence_detection_on_the_factored_staged_path(monkeypatch):
+    oracle = csr_oracle("ridge", 0.0, seed=8)
+    config = OptimizerConfig(mode="theoretical", rank=3, grad_batch_size=40, hess_batch_size=30,
+                             learning_rate=1e8, update_freq="inf", stage_length=5,
+                             max_passes=200.0, seed=9)
+    monkeypatch.setattr(ProblemOracle, "minibatch_gradient", None)  # not on this path
+    with pytest.raises(DivergenceError) as exc:
+        sketchysgd_theoretical_run(oracle, config)
+    assert 1 <= exc.value.iteration < 2000
+    assert exc.value.records[0].passes == 0.0  # the record at w0 survives for partial output
+
+
+@pytest.mark.parametrize("task, learning_rate", [("ridge", 2e8), ("logistic", 4e8)])
+@pytest.mark.parametrize("max_passes, iteration", [(5.0, 2), (1.0, 1)])
+def test_an_overflow_in_the_factored_update_is_caught_later(task, learning_rate, max_passes,
+                                                            iteration):
+    # Two equal rows with one entry of 1e300 and label -1: at w0 = 0 every
+    # margin is 0, each update term is 1e308 and their sum overflows in the
+    # scatter-subtract itself, with the margins and terms finite.  The next
+    # step reads the entry in its margins (for logistic, its slope and
+    # terms stay finite); a run that ends first builds a non-finite iterate
+    # (no evaluation comes between).
+    feats = sp.csr_matrix(np.full((2, 1), 1e300))
+    oracle = ProblemOracle(Dataset(feats, np.array([-1.0, -1.0])), task, 0.0)
+    with pytest.raises(DivergenceError) as exc:
+        sgd_run(oracle, learning_rate=learning_rate, grad_batch_size=2, max_passes=max_passes,
+                eval_every=1e9)
+    assert exc.value.iteration == iteration
+    assert len(exc.value.records) == 1
 
 
 def with_empty_rows(oracle, empty):
