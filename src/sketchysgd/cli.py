@@ -17,7 +17,9 @@ others: the manifest is still written, and gives each job a ``status``
 3.  The ``SKETCHYSGD_NUM_THREADS`` environment variable sizes the thread
 pool that runs independent (optimizer, seed) jobs; each job owns its
 generator and writes its own files, so results do not depend on the pool
-size.
+size.  Unset or empty, it means 1; ``validate`` and ``run`` check it before
+reading any data, and any other value but a positive integer is a config
+error.
 
 Config schema (JSON object)::
 
@@ -501,7 +503,19 @@ def _load(args):
     return (config, base_dir, *load_problem(config, base_dir))
 
 
+def job_threads() -> int:
+    """The job pool size from ``SKETCHYSGD_NUM_THREADS``; 1 if unset or empty."""
+    value = os.environ.get("SKETCHYSGD_NUM_THREADS", "")
+    digits = value.strip()
+    if not digits:
+        return 1
+    if not (digits.isascii() and digits.isdigit() and int(digits) >= 1):
+        raise ConfigError([f"SKETCHYSGD_NUM_THREADS must be a positive integer, got {value!r}"])
+    return int(digits)
+
+
 def cmd_validate(args) -> int:
+    job_threads()
     config, _base_dir, oracle, test, _path = _load(args)
     jobs = resolve_jobs(config, oracle)
     resolved = {
@@ -559,6 +573,7 @@ def environment() -> dict:
 
 
 def cmd_run(args) -> int:
+    workers = job_threads()
     config, _base_dir, oracle, test, dataset_path = _load(args)
     jobs = resolve_jobs(config, oracle)
     out_dir = Path(config.get("output_dir", "results"))
@@ -580,7 +595,6 @@ def cmd_run(args) -> int:
             np.save(out_dir / f"{name}_iterate.npy", result.w)
         return result, f"{name}.csv", "ok", None
 
-    workers = max(1, int(os.environ.get("SKETCHYSGD_NUM_THREADS", "1")))
     if workers > 1 and len(jobs) > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(execute, jobs))

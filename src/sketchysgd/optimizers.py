@@ -19,22 +19,26 @@ charged), and records losses on a pass schedule, or at every stage end when
 averaging.  Runs are bit-reproducible from (config, seed, dataset) apart
 from wall-clock fields.
 
-On CSR data every runner but SVRG takes a factored step: between two
-refreshes the preconditioner is fixed, so the iterate is kept as
+On CSR data every runner takes a factored step: between two refreshes
+the preconditioner is fixed, so the iterate is kept as
 ``alpha * w_tilde + V s`` (see :class:`_FactoredIterate`) and a step costs
 O(r nnz(batch)) instead of O(r p): no p-length gradient, no
 ``precond_solve``, no pass over w.  SGD is that step with the rank-zero
 preconditioner and ``rho = 1`` (P = I, never refreshed), in O(nnz(batch)).
-The staged variant keeps its stage sum in the same lazy form, for
+SVRG is the SGD step plus a drift ``c d`` that carries the snapshot
+correction, also O(nnz(batch)) per step, and one full gradient per
+snapshot, which restarts the factored iterate as a refresh would.  The
+staged variant keeps its stage sum in the same lazy form, for
 O(nnz(batch)) more per step and O(r p) to form the average at a stage end.
-Between two refreshes only ``sample_batch`` draws from the generator, so
-such a run draws the batches of up to ``_BLOCK_ROWS`` rows at once, through
-the same calls in the same order, and gathers their rows and multiplies
-them by V once per block; the extra memory is O(_BLOCK_ROWS r +
-nnz(block)).  The iterate itself is built, in O(r p), only at a refresh,
-an evaluation, a stage end and the end of the run.  It is the same step as
-the materialized one, rounded differently (a relative difference around
-1e-15 on the losses).  Dense data and SVRG take the materialized step.
+Between two refreshes (or snapshots) only ``sample_batch`` draws from the
+generator, so such a run draws the batches of up to ``_BLOCK_ROWS`` rows at
+once, through the same calls in the same order, and gathers their rows and
+multiplies them by V once per block; the extra memory is O(_BLOCK_ROWS r +
+nnz(block)).  The iterate itself is built, in O(r p), only at a refresh, a
+snapshot, an evaluation, a stage end and the end of the run.  It is the
+same step as the materialized one, rounded differently (a relative
+difference around 1e-15 on the losses).  Dense data takes the materialized
+step.
 
 The step-size estimate runs its power iteration in the |S|-dimensional
 space of the Hessian batch (see :func:`estimate_learning_rate`), with
@@ -392,7 +396,8 @@ _BLOCK_ROWS = 8192
 
 
 class _FactoredIterate:
-    """An iterate on CSR data between two preconditioner refreshes.
+    """An iterate on CSR data between two preconditioner refreshes (or SVRG
+    snapshots).
 
     While ``P = V diag(lam) V' + rho I`` is fixed, the iterate is kept as
     ``w = alpha * w_tilde + V s``, with ``t = V' w``.  Let ``G`` be the data
@@ -407,6 +412,16 @@ class _FactoredIterate:
     Plain SGD is the same step with the rank-zero approximation and
     ``rho = 1`` (``P = I``): the classic scaled, lazily regularized sparse
     step.
+
+    SVRG is that SGD step (``P = I`` only) given the ``full_gradient`` mu
+    at the start point, which becomes the snapshot ``w_snap``.  With the drift
+    ``d = mu - l2 w_snap``, fixed until the next snapshot, its step
+    ``w <- w - eta (g_B(w) - g_B(w_snap) + mu)`` is
+    ``beta w - eta d - (eta / b) X_B' (slope(X_B w) - slope(X_B w_snap))``,
+    so the iterate is kept as ``alpha * w_tilde + c d`` with
+    ``c <- beta c - eta``, the slope difference in place of ``G``, and the
+    margins ``alpha X_B w_tilde + c X_B d``.  A block's load also forms
+    ``X [w_snap, d]``, in one product, for the snapshot slopes and ``X d``.
 
     Steps run on a block of prefetched minibatches (:meth:`load`): their
     rows ``X`` are gathered once and multiplied once by V (kept C-ordered
@@ -428,13 +443,19 @@ class _FactoredIterate:
     """
 
     def __init__(self, w: np.ndarray, nys: NystromApprox, rho: float, eta: float,
-                 oracle: ProblemOracle, stage_sum: np.ndarray | None = None):
+                 oracle: ProblemOracle, stage_sum: np.ndarray | None = None,
+                 full_gradient: np.ndarray | None = None):
         self.oracle = oracle
         self.basis = np.ascontiguousarray(nys.basis)
         self.gain = (nys.eigenvalues + rho) ** -1.0 - rho**-1.0
         self.eta, self.l2, self.step_over_rho = eta, oracle.l2, eta / rho
         self.beta = 1.0 - eta * oracle.l2 / rho
         self.averaging = stage_sum is not None
+        if full_gradient is not None and self.gain.size:
+            raise NotImplementedError("the factored SVRG step takes P = I only")
+        # SVRG: the columns [w_snap, d], C-ordered for one product per block
+        self.anchor = None if full_gradient is None else np.column_stack(
+            [w, full_gradient - oracle.l2 * w])
         self.restart(w, stage_sum)
         self._next = self._loaded = 0
 
@@ -443,6 +464,7 @@ class _FactoredIterate:
         ``stage_sum`` as the stage sum when averaging; the loaded block
         stays valid, since ``M = X V`` does not depend on w."""
         self.w_tilde, self.alpha, self.s = w.copy(), 1.0, np.zeros(self.gain.size)
+        self.c = 0.0
         self.t = self.basis.T @ w
         self._w = w
         if self.averaging:
@@ -462,6 +484,9 @@ class _FactoredIterate:
         size = batches[0].size
         feats, self._labels = self.oracle.row_block(np.concatenate(batches))
         self._products = feats @ self.basis
+        if self.anchor is not None:
+            snap, self._drift_margins = (feats @ self.anchor).T
+            self._snap_slopes = self.oracle.loss_slope(snap, self._labels)
         self._cols, self._vals = feats.indices, feats.data
         # each entry's row within its own minibatch
         self._rows = np.repeat(np.arange(feats.shape[0]) % size, np.diff(feats.indptr))
@@ -469,7 +494,7 @@ class _FactoredIterate:
         self._size, self._next, self._loaded = size, 0, len(batches)
 
     def step(self) -> bool:
-        """One step on the next loaded minibatch; False if alpha, s, the
+        """One step on the next loaded minibatch; False if alpha, c, s, the
         margins or the update terms are no longer finite.
 
         The margins read ``w_tilde`` on the batch's columns before the
@@ -481,15 +506,21 @@ class _FactoredIterate:
         j, size = self._next, self._size
         lo, hi = self._bounds[j], self._bounds[j + 1]
         rows, cols, vals = self._rows[lo:hi], self._cols[lo:hi], self._vals[lo:hi]
-        products = self._products[j * size:(j + 1) * size]
+        batch = slice(j * size, (j + 1) * size)
+        products = self._products[batch]
         self._next = j + 1
         z = (self.alpha * np.bincount(rows, weights=vals * self.w_tilde[cols], minlength=size)
              + products @ self.s)
-        slope = self.oracle.loss_slope(z, self._labels[j * size:(j + 1) * size])
+        if self.anchor is not None:
+            z += self.c * self._drift_margins[batch]
+        slope = self.oracle.loss_slope(z, self._labels[batch])
+        if self.anchor is not None:
+            slope -= self._snap_slopes[batch]
+            self.c = self.beta * self.c - self.eta
         u = (products.T @ slope) / size
         delta = self.gain * (u + self.l2 * self.t)
         alpha = self.beta * self.alpha
-        finite = math.isfinite(alpha)
+        finite = math.isfinite(alpha) and math.isfinite(self.c)
         if not alpha >= _ALPHA_FLOOR:
             if self.averaging:
                 self._carry += self._scale_sum * self.w_tilde - self._offset
@@ -511,9 +542,11 @@ class _FactoredIterate:
                                and np.isfinite(self.s).all())
 
     def iterate(self) -> np.ndarray:
-        """``w = alpha * w_tilde + V s`` (cached until the next step)."""
+        """``w = alpha * w_tilde + V s (+ c d)`` (cached until the next step)."""
         if self._w is None:
             self._w = self.alpha * self.w_tilde + self.basis @ self.s
+            if self.anchor is not None:
+                self._w += self.c * self.anchor[:, 1]
         return self._w
 
     def stage_sum(self) -> np.ndarray:
@@ -527,7 +560,7 @@ def _block_steps(cfg: OptimizerConfig, update_freq: float, k: int, touched: int,
     """Steps a factored run can prefetch before step ``k + 1``: the loop
     takes them all, with no refresh between them, unless it diverges.
 
-    At most one block, and never past the next refresh (every
+    At most one block, and never past the next refresh or snapshot (every
     ``update_freq`` steps) or the last step.  ``touched`` is the samples
     touched before step ``k + 1``.
     """
@@ -560,13 +593,15 @@ def _drive(
     ``max_passes`` passes; the last stage of an averaged run may be cut
     short.  The iterate is checked for finiteness and offered to the
     recorder after every step, or after every stage when averaging.  Wall
-    time covers the optimization work only.  Every run on CSR data but
-    SVRG steps through :class:`_FactoredIterate` unless
-    ``factor_sparse_steps`` is False: SGD with the rank-zero
-    preconditioner and ``rho = 1``, an averaged run adding each step to the
-    stage sum in O(nnz(batch)) and forming the average in O(p r) at a stage
-    end.  Divergence is detected explicitly (:class:`DivergenceError`), so
-    the arithmetic runs with overflow and invalid-value warnings off.
+    time covers the optimization work only.  Every run on CSR data steps
+    through :class:`_FactoredIterate` unless ``factor_sparse_steps`` is
+    False: SGD with the rank-zero preconditioner and ``rho = 1``, SVRG as
+    SGD plus the snapshot's drift, restarted at every snapshot, in
+    O(nnz(batch)) per step and one full gradient per snapshot, and an
+    averaged run adding each step to the stage sum in O(nnz(batch)) and
+    forming the average in O(p r) at a stage end.  Divergence is detected
+    explicitly (:class:`DivergenceError`), so the arithmetic runs with
+    overflow and invalid-value warnings off.
     """
     n, bg = oracle.n, cfg.grad_batch_size
     rng = make_rng(cfg.seed)
@@ -575,13 +610,14 @@ def _drive(
     recorder.finalize(w, 0.0, 0.0, 0)
     record = recorder.finalize if average else recorder.maybe_record
 
-    factored = factor_sparse_steps and not svrg and oracle.data.is_sparse
-    # SGD is the preconditioned step with P = I, never refreshed
+    factored = factor_sparse_steps and oracle.data.is_sparse
+    epoch = math.ceil(n / bg)
+    # SGD and SVRG are the preconditioned step with P = I, never refreshed;
+    # an SVRG snapshot restarts a factored iterate as a refresh would
     nys, rho = (None, cfg.rho) if precondition else (NystromApprox.rank_zero(oracle.p), 1.0)
-    update_freq = cfg.update_freq if precondition else math.inf
+    update_freq = cfg.update_freq if precondition else (epoch if svrg else math.inf)
     eta = cfg.learning_rate if isinstance(cfg.learning_rate, (int, float)) else None
     estimate = precondition and eta is None
-    epoch = math.ceil(n / bg)
     stage_sum, produced = np.zeros(oracle.p) if average else None, 0
     state = None
     # Sample rows touched, kept as an integer so that the passes equal the
@@ -590,7 +626,12 @@ def _drive(
     wall = 0.0
     while touched / n < cfg.max_passes:
         tic = time.perf_counter()
-        if svrg and k % epoch == 0:
+        snapshot = svrg and k % epoch == 0
+        if snapshot:
+            if state is not None:
+                w = state.iterate()
+                if not np.all(np.isfinite(w)):
+                    raise DivergenceError(k, recorder.records)
             w_snap = w.copy()
             mu = oracle.minibatch_gradient(w_snap, np.arange(n, dtype=np.int64))
             touched += n
@@ -618,8 +659,8 @@ def _drive(
                 )
                 touched += cfg.power_iters * cfg.hess_batch_size
                 lr_estimates += 1
-        if factored and (refresh or state is None):
-            state = _FactoredIterate(w, nys, rho, eta, oracle, stage_sum)
+        if factored and (refresh or snapshot or state is None):
+            state = _FactoredIterate(w, nys, rho, eta, oracle, stage_sum, mu if svrg else None)
         if state is None:
             batch = sample_batch(rng, n, bg)
         elif not state.pending:

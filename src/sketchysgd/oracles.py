@@ -168,9 +168,9 @@ class ProblemOracle:
         ``batch`` holds valid row indices (as drawn by :func:`sample_batch`);
         it may concatenate several minibatches.  One row gather, so a caller
         that steps through many minibatches can pay for it once: every
-        runner but SVRG on CSR data forms ``features[batch] @ V`` for a
-        whole block of prefetched minibatches (see
-        ``optimizers._FactoredIterate``).
+        runner on CSR data forms ``features[batch] @ V`` (SVRG also the
+        product with its snapshot and drift) for a whole block of
+        prefetched minibatches (see ``optimizers._FactoredIterate``).
         """
         return self.data.features[batch], self.data.labels[batch]
 

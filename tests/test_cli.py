@@ -347,6 +347,27 @@ def test_thread_pool_matches_sequential(workspace, tmp_path, monkeypatch):
             assert cs[:1] == cp[:1] and cs[2:] == cp[2:]
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", "４"])
+def test_bad_job_thread_count_exits_2_before_reading_data(workspace, monkeypatch, capsys, command,
+                                                          value):
+    tmp_path, cfg_path, _ = workspace
+    monkeypatch.setenv("SKETCHYSGD_NUM_THREADS", value)
+    monkeypatch.setattr(cli, "load_problem", None)  # never reached
+    assert main([command, str(cfg_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: SKETCHYSGD_NUM_THREADS must be a positive integer, got {value!r}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value, threads", [("", 1), (" 3 ", 3), ("1", 1)])
+def test_job_thread_count_unset_or_empty_means_one(monkeypatch, value, threads):
+    monkeypatch.setenv("SKETCHYSGD_NUM_THREADS", value)
+    assert cli.job_threads() == threads
+    monkeypatch.delenv("SKETCHYSGD_NUM_THREADS")
+    assert cli.job_threads() == 1
+
+
 def test_theoretical_optimizer_and_inf_update_freq(workspace, tmp_path):
     wp, _, config = workspace
     config = dict(config)

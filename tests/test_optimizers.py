@@ -365,9 +365,10 @@ def csr_oracle(task, l2, n=400, p=60, seed=0):
 def run_both(oracle, config, monkeypatch, eval_every=0.5, runner="sketchysgd"):
     """The factored sparse step and the materialized one on the same job.
 
-    ``runner`` is ``"sketchysgd"``, ``"staged"`` (the theoretical variant)
-    or ``"sgd"``.  The factored run may neither build a p-length gradient
-    nor call ``precond_solve`` per step.
+    ``runner`` is ``"sketchysgd"``, ``"staged"`` (the theoretical variant),
+    ``"sgd"`` or ``"svrg"``.  The factored run may neither build a p-length
+    gradient, except for an SVRG snapshot, nor call ``precond_solve`` per
+    step.
     """
     gradients, solves = [], []
     gradient = ProblemOracle.minibatch_gradient
@@ -375,11 +376,12 @@ def run_both(oracle, config, monkeypatch, eval_every=0.5, runner="sketchysgd"):
                         lambda self, w, batch: gradients.append(1) or gradient(self, w, batch))
     monkeypatch.setattr(optimizers, "precond_solve",
                         lambda *args: solves.append(1) or precond_solve(*args))
-    if runner == "sgd":
+    if runner in ("sgd", "svrg"):
         cfg = resolve_baseline_config(config, oracle)
-        factored = sgd_run(oracle, config.learning_rate, config.grad_batch_size, config.max_passes,
-                           config.seed, eval_every=eval_every)
-        flags = {}
+        run = sgd_run if runner == "sgd" else svrg_run
+        factored = run(oracle, config.learning_rate, config.grad_batch_size, config.max_passes,
+                       config.seed, eval_every=eval_every)
+        flags = dict(svrg=runner == "svrg")
     elif runner == "staged":
         cfg, eval_every = resolve_config(config, oracle), math.inf
         factored = sketchysgd_theoretical_run(oracle, config)
@@ -388,11 +390,12 @@ def run_both(oracle, config, monkeypatch, eval_every=0.5, runner="sketchysgd"):
         cfg = resolve_config(config, oracle)
         factored = sketchysgd_run(oracle, config, eval_every=eval_every)
         flags = dict(precondition=True)
-    assert gradients == []  # the factored step never builds a p-length gradient
+    assert len(gradients) == factored.snapshots  # the factored step builds no p-length gradient
     assert len(solves) == cfg.power_iters * factored.lr_estimates  # only the step-size powering
+    gradients.clear()
     dense = optimizers._drive(oracle, cfg, None, eval_every, None, factor_sparse_steps=False,
                               **flags)
-    assert len(gradients) == dense.iterations
+    assert len(gradients) == (2 if runner == "svrg" else 1) * dense.iterations + dense.snapshots
     return factored, dense
 
 
@@ -638,3 +641,110 @@ def test_prefetched_batches_are_the_batches_of_the_materialized_loop(monkeypatch
     assert sum(loads) == runs[0].iterations and max(loads) == min(block, cfg.update_freq)
     if max_passes == 2.9:
         assert loads[-1] < block
+
+
+@pytest.mark.parametrize("task, l2", [("logistic", 1e-2), ("ridge", 0.0)])
+@pytest.mark.parametrize("learning_rate", [None, 0.02])
+@pytest.mark.parametrize("block_rows", [None, 128])
+@pytest.mark.parametrize("ending", ["snapshot", "mid-block", "budget"])
+def test_factored_svrg_matches_materialized_svrg(monkeypatch, task, l2, learning_rate, block_rows,
+                                                 ending):
+    # n = 400 and b = 32: an epoch of 13 steps, cut into blocks of 4, 4, 4
+    # and 1 steps when a block holds 128 rows, and into one otherwise
+    oracle = csr_oracle(task, l2)
+    if block_rows is not None:
+        monkeypatch.setattr(optimizers, "_BLOCK_ROWS", block_rows)
+    n, bg, epoch = oracle.n, 32, 13
+    max_passes = {
+        "snapshot": (3 * n + 2 * epoch * bg) / n,   # the third snapshot spends the budget
+        "mid-block": (3 * n + (2 * epoch + 6) * bg) / n,  # the 32nd step ends it
+        "budget": 8.0,
+    }[ending]
+    config = OptimizerConfig(grad_batch_size=bg, learning_rate=learning_rate,
+                             max_passes=max_passes, seed=3)
+    factored, dense = run_both(oracle, config, monkeypatch, runner="svrg")
+    if ending == "snapshot":
+        assert (factored.snapshots, factored.iterations) == (3, 2 * epoch)
+    elif ending == "mid-block":
+        assert (factored.snapshots, factored.iterations) == (3, 2 * epoch + 6)
+    assert factored.records[-1].train_loss < factored.records[0].train_loss
+    assert_same_run(factored, dense)
+
+
+@pytest.mark.parametrize("decay", [0.9, 1.0, 1.5])
+def test_factored_svrg_rebases_when_the_scale_collapses(monkeypatch, decay):
+    # eta * l2 = decay, as for the preconditioned step with rho = 1
+    oracle = csr_oracle("logistic", 0.05, seed=4)
+    config = OptimizerConfig(grad_batch_size=40, learning_rate=decay / oracle.l2, max_passes=6.0,
+                             seed=5)
+    factored, dense = run_both(oracle, config, monkeypatch, runner="svrg")
+    assert factored.snapshots >= 2 and np.isfinite(factored.w).all()
+    assert_same_run(factored, dense)
+
+
+@pytest.mark.parametrize("task, l2", [("logistic", 1e-2), ("ridge", 0.0)])
+def test_factored_full_batch_svrg_reduces_to_gradient_descent(task, l2):
+    # grad_batch_size = n: every step follows a snapshot
+    oracle = csr_oracle(task, l2, n=60, p=12, seed=9)
+    eta = 0.1
+    res = svrg_run(oracle, learning_rate=eta, grad_batch_size=60, max_passes=12.0, seed=2)
+    assert res.snapshots == res.iterations >= 5
+    w = np.zeros(oracle.p)
+    full = np.arange(oracle.n)
+    for _ in range(res.iterations):
+        w = w - eta * oracle.minibatch_gradient(w, full)
+    np.testing.assert_allclose(res.w, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
+
+
+def test_factored_svrg_iterate_does_not_depend_on_eval_every():
+    oracle = csr_oracle("logistic", 1e-3, seed=6)
+    runs = [svrg_run(oracle, grad_batch_size=20, max_passes=6.0, seed=7, eval_every=e)
+            for e in (0.05, 0.5, 10.0)]
+    assert runs[0].snapshots >= 2
+    assert len(runs[0].records) > len(runs[1].records) > len(runs[2].records)
+    for run in runs[1:]:
+        np.testing.assert_array_equal(run.w, runs[0].w)
+        assert run.records[-1].train_loss == runs[0].records[-1].train_loss
+
+
+def test_divergence_detection_on_the_factored_svrg_path(monkeypatch):
+    oracle = csr_oracle("ridge", 0.0, seed=8)
+    gradients = []
+    gradient = ProblemOracle.minibatch_gradient
+    monkeypatch.setattr(ProblemOracle, "minibatch_gradient", lambda self, w, batch:
+                        gradients.append(batch.size) or gradient(self, w, batch))
+    with pytest.raises(DivergenceError) as exc:
+        svrg_run(oracle, learning_rate=1e8, grad_batch_size=40, max_passes=200.0, seed=9,
+                 eval_every=1e9)
+    assert 1 <= exc.value.iteration < 2000
+    assert set(gradients) == {oracle.n}  # only the snapshots build a gradient
+    assert len(exc.value.records) == 1  # the record at w0 survives for partial output
+
+
+@pytest.mark.parametrize("factored", [True, False])
+def test_an_overflow_in_the_svrg_drift_is_caught_at_its_step(factored):
+    # Two equal rows with one entry of 1e150 and label -1, at w0 = 0: the
+    # snapshot's full gradient mu and the drift d are 1e150 and X d is
+    # finite, but the first step's -eta * mu overflows.  The materialized
+    # loop checks w after the step; the factored one builds w at the next
+    # snapshot and checks it before taking a gradient there.
+    feats = sp.csr_matrix(np.full((2, 1), 1e150))
+    oracle = ProblemOracle(Dataset(feats, np.array([-1.0, -1.0])), "ridge", 0.0)
+    cfg = resolve_baseline_config(
+        OptimizerConfig(learning_rate=1e160, grad_batch_size=2, max_passes=10.0), oracle)
+    with pytest.raises(DivergenceError) as exc:
+        optimizers._drive(oracle, cfg, None, 1e9, None, svrg=True, factor_sparse_steps=factored)
+    assert exc.value.iteration == 1
+    assert len(exc.value.records) == 1
+
+
+def test_factored_svrg_refuses_a_nystrom_preconditioner():
+    # its drift is kept for P = I; a preconditioned SVRG on CSR data must
+    # take the materialized step until the drift applies P^-1
+    oracle = csr_oracle("logistic", 1e-2)
+    cfg = resolve_config(OptimizerConfig(rank=3, learning_rate=0.01, max_passes=3.0), oracle)
+    with pytest.raises(NotImplementedError):
+        optimizers._drive(oracle, cfg, None, 1.0, None, precondition=True, svrg=True)
+    res = optimizers._drive(oracle, cfg, None, 1.0, None, precondition=True, svrg=True,
+                            factor_sparse_steps=False)
+    assert res.snapshots >= 1 and np.isfinite(res.w).all()
