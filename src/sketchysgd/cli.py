@@ -7,8 +7,10 @@ Three subcommands share one JSON config document::
     sketchysgd validate config.json  # schema check, print the resolved config
 
 Exit codes: 0 ok, 2 config or data error (including a malformed libsvm
-line, a feature index above 2^63 - 1, a non-finite label or value, and a
-repeated seed; each is one ``config error: ...`` line), 3 runtime or
+line, a feature index above 2^63 - 1, a non-finite label or value, a
+repeated seed, a logistic label other than +-1 in either split, a ``rho``
+whose reciprocal overflows float64, and an output directory that names an
+existing file; each is one ``config error: ...`` line), 3 runtime or
 divergence error, 4 dense diagnostic caps exceeded.  A ``run`` job that
 diverges or whose sketch or step-size powering fails does not stop the
 others: the manifest is still written, and gives each job a ``status``
@@ -365,7 +367,12 @@ def load_problem(config: dict, base_dir: Path):
     l2 = config.get("l2", AUTO)
     if l2 == AUTO:
         l2 = 1e-2 / train.n
-    oracle = ProblemOracle(train, config["task"], float(l2))
+    try:
+        oracle = ProblemOracle(train, config["task"], float(l2))
+        if test is not None:
+            ProblemOracle(test, config["task"])  # the runners evaluate it
+    except ValueError as exc:
+        raise ConfigError([f"dataset: {exc}"]) from exc
     return oracle, test, path
 
 
@@ -500,7 +507,17 @@ def _load(args):
         config["max_passes"] = args.max_passes
     if args.seed is not None:
         config["seeds"] = [args.seed]
+    _check_output_dir(Path(config.get("output_dir", "results")))
     return (config, base_dir, *load_problem(config, base_dir))
+
+
+def _check_output_dir(out_dir: Path) -> None:
+    """The nearest existing one of ``out_dir`` and its parents must be a directory."""
+    for path in (out_dir, *out_dir.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError([f"output_dir: {path} exists and is not a directory"])
+            return
 
 
 def job_threads() -> int:

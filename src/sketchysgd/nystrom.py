@@ -24,6 +24,7 @@ once per power iteration (see ``optimizers.estimate_learning_rate``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -145,9 +146,13 @@ def rand_nys_approx(
 
 
 def _check_rho(rho: float) -> float:
+    """``rho`` as a float; positive, and large enough that ``1/rho`` is finite."""
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    return float(rho)
+    rho = float(rho)
+    if math.isinf(1.0 / rho):
+        raise ValueError(f"rho {rho!r} is too small: its reciprocal overflows float64")
+    return rho
 
 
 def _apply(nys: NystromApprox, rho: float, v: np.ndarray, power: float) -> np.ndarray:

@@ -56,7 +56,13 @@ import numpy as np
 
 from .data import Dataset
 from .linalg import Rng, make_rng
-from .nystrom import NystromApprox, precond_inv_sqrt, precond_solve, rand_nys_approx
+from .nystrom import (
+    NystromApprox,
+    _check_rho,
+    precond_inv_sqrt,
+    precond_solve,
+    rand_nys_approx,
+)
 from .oracles import ProblemOracle, sample_batch
 
 AUTO = "auto"
@@ -216,6 +222,7 @@ def _validate_resolved(cfg: OptimizerConfig, n: int, p: int) -> None:
         raise ValueError(f"Hessian batch size {cfg.hess_batch_size} must lie in [1, {n}]")
     if not cfg.rho > 0:
         raise ValueError("rho must be positive after resolution")
+    _check_rho(cfg.rho)
     if not cfg.lr_scale > 0:
         raise ValueError("lr_scale must be positive")
     if cfg.power_iters < 1:
@@ -255,16 +262,18 @@ class _Recorder:
         self._next = 0.0
 
     def _evaluate(self, w: np.ndarray, passes: float, wall: float, iteration: int) -> None:
-        train_loss = self.oracle.full_loss(w)
+        # One margin product per split, shared by that split's metrics.
+        z = self.oracle.margins(w)
+        train_loss = self.oracle.full_loss(w, margins=z)
         if not math.isfinite(train_loss):
             raise DivergenceError(iteration, self.records)
-        test_loss = train_acc = test_acc = None
+        logistic = self.oracle.task == "logistic"
+        train_acc = self.oracle.accuracy(w, margins=z) if logistic else None
+        test_loss = test_acc = None
         if self.test_oracle is not None:
-            test_loss = self.test_oracle.mean_sample_loss(w)
-        if self.oracle.task == "logistic":
-            train_acc = self.oracle.accuracy(w)
-            if self.test_oracle is not None:
-                test_acc = self.test_oracle.accuracy(w)
+            z = self.test_oracle.margins(w)
+            test_loss = self.test_oracle.mean_sample_loss(w, margins=z)
+            test_acc = self.test_oracle.accuracy(w, margins=z) if logistic else None
         self.records.append(
             MetricsRecord(passes, wall, train_loss, test_loss, train_acc, test_acc)
         )

@@ -8,7 +8,7 @@ import scipy
 
 from sketchysgd import cli
 from sketchysgd.cli import file_sha256, main, records_to_csv, validate_config
-from sketchysgd.data import save_libsvm
+from sketchysgd.data import load_libsvm, save_libsvm, split
 from sketchysgd.nystrom import SketchNotPsdError
 from sketchysgd.optimizers import LearningRateError, MetricsRecord
 from sketchysgd.synthetic import gaussian_dataset, planted_least_squares
@@ -513,4 +513,62 @@ def test_duplicate_seeds_exit_2(workspace, capsys, command):
     assert capsys.readouterr().err == (
         "config error: seeds: duplicate seeds [0]; each seed names its own output files\n"
     )
+    assert not (tmp_path / "out").exists()
+
+
+def bad_labels(tmp_path, config):
+    # labels {0, 1, 2} on a logistic task
+    rows = "".join(f"{i % 3} 1:{0.1 * i + 0.5} 2:{1 - 0.02 * i}\n" for i in range(40))
+    (tmp_path / "labels.svm").write_text(rows)
+    return dict(config, dataset={"path": "labels.svm"}, task="logistic",
+                optimizers=[{"name": "sgd"}]), [], (
+        "config error: dataset: logistic labels must be -1 or +1, found 0.0\n")
+
+
+def tiny_rho(tmp_path, config):
+    return dict(config, optimizers=[{"name": "sketchysgd", "rho": 1e-320}]), [], (
+        "config error: optimizers[0] (sketchysgd): rho 1e-320 is too small: "
+        "its reciprocal overflows float64\n")
+
+
+def output_dir_is_a_file(tmp_path, config):
+    (tmp_path / "taken").write_text("keep")
+    return config, ["--output-dir", str(tmp_path / "taken")], (
+        f"config error: output_dir: {tmp_path / 'taken'} exists and is not a directory\n")
+
+
+def output_dir_under_a_file(tmp_path, config):
+    (tmp_path / "taken").write_text("keep")
+    return dict(config, output_dir=str(tmp_path / "taken" / "out")), [], (
+        f"config error: output_dir: {tmp_path / 'taken'} exists and is not a directory\n")
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("case", [bad_labels, tiny_rho, output_dir_is_a_file,
+                                  output_dir_under_a_file])
+def test_data_dependent_mistakes_exit_2_with_one_line(workspace, capsys, command, case):
+    tmp_path, _, config = workspace
+    config, flags, message = case(tmp_path, config)
+    before = sorted(tmp_path.rglob("*"))
+    cfg_path = write_config(tmp_path, config, "case.json")
+    assert main([command, str(cfg_path), *flags]) == 2
+    assert capsys.readouterr().err == message
+    assert sorted(tmp_path.rglob("*")) == sorted([*before, cfg_path])
+    if (tmp_path / "taken").exists():
+        assert (tmp_path / "taken").read_text() == "keep"
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_bad_label_in_the_test_split_only_is_a_config_error(tmp_path, capsys, command):
+    labels = [1 if i % 2 else -1 for i in range(200)]
+    labels[7] = 2
+    (tmp_path / "d.svm").write_text("".join(f"{y} 1:{0.01 * i + 0.5}\n" for i, y in enumerate(labels)))
+    ds = load_libsvm(tmp_path / "d.svm")
+    seed = next(s for s in range(100) if 2.0 in split(ds, 0.5, s)[1].labels)
+    config = {"dataset": {"path": "d.svm"}, "task": "logistic", "optimizers": [{"name": "sgd"}],
+              "preprocessing": [{"split": {"fraction": 0.5, "seed": seed}}],
+              "seeds": [0], "output_dir": str(tmp_path / "out")}
+    assert main([command, str(write_config(tmp_path, config))]) == 2
+    assert capsys.readouterr().err == (
+        "config error: dataset: logistic labels must be -1 or +1, found 2.0\n")
     assert not (tmp_path / "out").exists()

@@ -152,6 +152,19 @@ def test_precond_rejects_bad_rho():
         precond_inv_sqrt(nys, -1.0, np.ones(4))
 
 
+@pytest.mark.parametrize("apply", [precond_solve, precond_inv_sqrt])
+@pytest.mark.parametrize("rho", [1e-320, 5e-324, 5.562684646268003e-309])
+def test_precond_rejects_rho_whose_reciprocal_overflows(apply, rho):
+    nys = NystromApprox(np.eye(4)[:, :1], np.ones(1))
+    with pytest.raises(ValueError, match="reciprocal overflows"):
+        apply(nys, rho, np.ones(4))
+
+
+def test_precond_accepts_the_smallest_rho_with_a_finite_reciprocal():
+    rho = np.nextafter(1.0 / np.finfo(np.float64).max, 1.0)
+    assert np.isfinite(precond_solve(NystromApprox.rank_zero(2), rho, np.ones(2))).all()
+
+
 def test_block_application():
     h, hvp = psd_operator(30, 30, 18)
     nys = rand_nys_approx(hvp, 30, 5, make_rng(18))

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from sketchysgd import optimizers
-from sketchysgd.data import Dataset
+from sketchysgd.data import Dataset, split
 from sketchysgd.linalg import eigh_small, make_rng
 from sketchysgd.nystrom import NystromApprox, precond_solve, rand_nys_approx
 from sketchysgd.optimizers import (
@@ -748,3 +748,80 @@ def test_factored_svrg_refuses_a_nystrom_preconditioner():
     res = optimizers._drive(oracle, cfg, None, 1.0, None, precondition=True, svrg=True,
                             factor_sparse_steps=False)
     assert res.snapshots >= 1 and np.isfinite(res.w).all()
+
+
+def split_csr_logistic():
+    """A CSR logistic problem and its held-out test split."""
+    full = csr_oracle("logistic", 1e-2, n=500)
+    train, test = split(full.data, 0.8, seed=3)
+    return ProblemOracle(train, "logistic", 1e-2), test
+
+
+def run_each(runner, oracle, test):
+    if runner == "sketchysgd":
+        return sketchysgd_run(oracle, OptimizerConfig(rank=4, max_passes=4.0), test_data=test,
+                              eval_every=0.5)
+    if runner == "staged":
+        return sketchysgd_theoretical_run(
+            oracle, OptimizerConfig(rank=4, mode="theoretical", learning_rate=AUTO,
+                                    stage_length=3, max_passes=4.0), test_data=test)
+    run = sgd_run if runner == "sgd" else svrg_run
+    return run(oracle, grad_batch_size=32, max_passes=4.0, test_data=test, eval_every=0.5)
+
+
+RUNNER_NAMES = ("sketchysgd", "staged", "sgd", "svrg")
+
+
+@pytest.mark.parametrize("runner", RUNNER_NAMES)
+def test_a_record_forms_one_margin_product_per_split(monkeypatch, runner):
+    oracle, test = split_csr_logistic()
+    products = {id(oracle.data.features): 0, id(test.features): 0}
+    matmul = sp.csr_matrix.__matmul__
+
+    def counting(self, other):
+        if id(self) in products and np.ndim(other) == 1:
+            products[id(self)] += 1
+        return matmul(self, other)
+
+    monkeypatch.setattr(sp.csr_matrix, "__matmul__", counting)
+    res = run_each(runner, oracle, test)
+    records = len(res.records)
+    assert records >= 3 and all(r.test_acc is not None for r in res.records)
+    # an SVRG snapshot forms the full-data product for its gradient too
+    assert products[id(oracle.data.features)] == records + (res.snapshots if runner == "svrg" else 0)
+    assert products[id(test.features)] == records
+
+
+def old_full_loss(self, w, margins=None):
+    z = np.asarray(self.data.features @ w).ravel()
+    base = float(np.logaddexp(0.0, -self.data.labels * z).sum()) / self.n
+    return base + 0.5 * self.l2 * float(w @ w)
+
+
+def old_mean_sample_loss(self, w, margins=None):
+    z = np.asarray(self.data.features @ w).ravel()
+    return float(np.logaddexp(0.0, -self.data.labels * z).sum()) / self.n
+
+
+def old_accuracy(self, w, margins=None):
+    pred = np.where(np.asarray(self.data.features @ w).ravel() >= 0.0, 1.0, -1.0)
+    return float(np.mean(pred == self.data.labels))
+
+
+@pytest.mark.parametrize("runner", RUNNER_NAMES)
+def test_shared_margins_keep_runs_equal_to_the_old_metrics(monkeypatch, runner):
+    oracle, test = split_csr_logistic()
+    res = run_each(runner, oracle, test)
+    with monkeypatch.context() as patch:
+        for name, old in (("full_loss", old_full_loss), ("mean_sample_loss", old_mean_sample_loss),
+                          ("accuracy", old_accuracy)):
+            patch.setattr(ProblemOracle, name, old)
+        ref = run_each(runner, oracle, test)
+    np.testing.assert_array_equal(res.w, ref.w)
+    assert [getattr(res, c) for c in COUNTERS] == [getattr(ref, c) for c in COUNTERS]
+    assert [r.passes for r in res.records] == [r.passes for r in ref.records]
+    assert [(r.train_acc, r.test_acc) for r in res.records] == [
+        (r.train_acc, r.test_acc) for r in ref.records]
+    for a, b in zip(res.records, ref.records):
+        assert a.train_loss == pytest.approx(b.train_loss, rel=1e-15, abs=0.0)
+        assert a.test_loss == pytest.approx(b.test_loss, rel=1e-15, abs=0.0)

@@ -7,7 +7,7 @@ from scipy.special import expit
 
 from sketchysgd.data import Dataset
 from sketchysgd.linalg import eigh_small, make_rng
-from sketchysgd.oracles import ProblemOracle, sample_batch
+from sketchysgd.oracles import ProblemOracle, _logistic_loss_sum, sample_batch
 from sketchysgd.synthetic import gaussian_dataset
 
 
@@ -40,6 +40,77 @@ def test_full_loss_ridge_at_zero():
 def test_full_loss_logistic_at_zero_is_log2():
     oracle = make_oracle("logistic", seed=2)
     assert oracle.full_loss(np.zeros(oracle.p)) == pytest.approx(math.log(2.0), rel=1e-14)
+
+
+EXTREMES = [0.0, -0.0, 1e-300, -1e-300, 36.7, -36.7, 709.0, -745.0, 1e308, -1e308,
+            math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("t", EXTREMES)
+def test_logistic_loss_sum_matches_logaddexp_per_entry(t):
+    got = _logistic_loss_sum(np.array([t]))
+    np.testing.assert_allclose(got, np.logaddexp(0.0, t), rtol=1e-15, atol=0.0)
+
+
+def test_logistic_loss_sum_over_an_array():
+    t = np.concatenate([EXTREMES[:-2], make_rng(40).standard_normal(1000) * 20])
+    assert _logistic_loss_sum(t) == pytest.approx(float(np.logaddexp(0.0, t).sum()), rel=1e-15)
+    assert _logistic_loss_sum(np.zeros(1)) == math.log(2.0)
+    assert math.isnan(_logistic_loss_sum(np.array([1.0, math.nan])))
+    assert math.isnan(_logistic_loss_sum(np.array([-math.inf, math.inf, math.nan])))
+
+
+@pytest.mark.parametrize("n", [1, 8, 64, 256])
+def test_logistic_loss_at_zero_is_exactly_log2(n):
+    oracle = make_oracle("logistic", n=n, seed=2)
+    w = np.zeros(oracle.p)
+    assert oracle.full_loss(w) == oracle.mean_sample_loss(w) == math.log(2.0)
+    assert oracle.minibatch_loss(w, np.arange(n)) == math.log(2.0)
+
+
+def test_every_logistic_loss_matches_logaddexp():
+    oracle = make_oracle("logistic", n=200, p=6, l2=0.3, seed=41)
+    w = make_rng(42).standard_normal(6) * 5
+    t = -oracle.data.labels * (oracle.data.features @ w)
+    base = float(np.logaddexp(0.0, t).sum()) / oracle.n
+    assert oracle.mean_sample_loss(w) == pytest.approx(base, rel=1e-15)
+    assert oracle.full_loss(w) == pytest.approx(base + 0.15 * float(w @ w), rel=1e-15)
+    batch = np.arange(3, 200, 7)
+    want = float(np.logaddexp(0.0, t[batch]).sum()) / batch.size + 0.15 * float(w @ w)
+    assert oracle.minibatch_loss(w, batch) == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize("task", ["ridge", "logistic"])
+@pytest.mark.parametrize("sparse", [True, False])
+def test_metrics_from_given_margins_equal_metrics_from_w(task, sparse):
+    oracle = make_oracle(task, n=50, p=7, l2=0.2, seed=43, sparse=sparse)
+    w = make_rng(44).standard_normal(7)
+    z = oracle.margins(w)
+    assert oracle.full_loss(w, margins=z) == oracle.full_loss(w)
+    assert oracle.mean_sample_loss(w, margins=z) == oracle.mean_sample_loss(w)
+    if task == "logistic":
+        assert oracle.accuracy(w, margins=z) == oracle.accuracy(w)
+    with pytest.raises(ValueError, match="margins have shape"):
+        oracle.full_loss(w, margins=z[1:])
+
+
+def old_accuracy(z, labels):
+    return float(np.mean(np.where(z >= 0.0, 1.0, -1.0) == labels))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_accuracy_equals_the_old_formula_with_ties_and_nan(seed):
+    rng = make_rng(seed)
+    n = int(rng.integers(1, 300))
+    labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    oracle = ProblemOracle(Dataset(rng.standard_normal((n, 3)), labels), "logistic", 0.0)
+    w = rng.standard_normal(3)
+    z = oracle.margins(w)
+    z[rng.random(n) < 0.2] = 0.0
+    z[rng.random(n) < 0.1] = -0.0
+    z[rng.random(n) < 0.1] = math.nan
+    assert oracle.accuracy(w, margins=z) == old_accuracy(z, labels)
+    assert oracle.accuracy(w) == old_accuracy(oracle.margins(w), labels)
 
 
 @pytest.mark.parametrize("task", ["ridge", "logistic"])

@@ -37,7 +37,7 @@ def load_tracing():
 def assert_every_patch_point_called(tracer, runners):
     stats = tracer.stats()
     spans = [
-        "oracles.sample_batch", "nystrom.precond_solve", "nystrom.precond_inv_sqrt",
+        "oracles.sample_batch", "oracles.eval", "nystrom.precond_solve", "nystrom.precond_inv_sqrt",
         "nystrom.rand_nys_approx", "optimizers.estimate_learning_rate",
         *(f"optimizers.{runner}" for runner in runners),
     ]
