@@ -11,15 +11,20 @@ spectral norm from the r x r Gram matrix; see :mod:`sketchysgd.linalg` for
 the Householder fallback.  The regularized approximation
 ``P = H_hat + rho I`` then supports O(p r) application of ``P^{-1}`` and
 ``P^{-1/2}`` through the matrix inversion lemma, which is all the optimizer
-ever needs.  Both go
+ever needs.  On CSR data the optimizer builds on the Hessian batch's column
+support ``S`` only (see ``optimizers.sketch_hessian``), so the build's
+dimension is |S|, not p: O(nnz(C) r + |S| r^2) for the batch factor ``C``,
+with the basis then embedded in p x r.  Both go
 through one apply, ``P^{-s} v = V (c * ((lam + rho)^{-s} - rho^{-s})) + rho^{-s} v``
 with ``c = V.T v``: two passes over the basis, which is stored column-major
 so that each pass reads contiguous columns.  SketchySGD and its staged
 variant on CSR data do not call ``precond_solve`` per step: they apply the
 same formula to a gradient supported on the batch's columns, in factored
 form, for O(r nnz(batch)) (see ``optimizers._FactoredIterate``).  The
-step-size estimate calls ``precond_inv_sqrt`` once and ``precond_solve``
-once per power iteration (see ``optimizers.estimate_learning_rate``).
+step-size estimate calls ``precond_inv_sqrt`` once per start and
+``precond_solve`` once per power iteration, the latter on CSR data with the
+basis rows on the fresh batch's support ``S'`` only, for O(nnz(C) + |S'| r)
+per sweep (see ``optimizers.estimate_learning_rate``).
 """
 
 from __future__ import annotations
@@ -76,7 +81,7 @@ class NystromApprox:
         if np.any(np.diff(eig) > 0):
             raise ValueError("eigenvalues must be sorted descending")
         # Column-major, so both products in the preconditioner apply stream
-        # contiguous columns of V.
+        # contiguous columns of V; a column-major basis is kept as it is.
         object.__setattr__(self, "basis", np.asfortranarray(basis))
         object.__setattr__(self, "eigenvalues", eig)
 
@@ -117,7 +122,8 @@ def rand_nys_approx(
     called once (a single data pass for subsampled GLM Hessians).  The sketch
     is stabilized by a shift ``nu = sqrt(p) * ulp(||Y||_2)`` that is removed
     from the recovered eigenvalues, clamping at zero, so the result is PSD
-    and never overestimates the operator.
+    and never overestimates the operator.  ``p`` is the operator's
+    dimension: |S| for a sketch on a Hessian batch's column support.
     """
     if not 1 <= rank <= p:
         raise ValueError(f"rank {rank} must lie in [1, {p}]")

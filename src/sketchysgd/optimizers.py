@@ -40,8 +40,13 @@ same step as the materialized one, rounded differently (a relative
 difference around 1e-15 on the losses).  Dense data takes the materialized
 step.
 
-The step-size estimate runs its power iteration in the |S|-dimensional
-space of the Hessian batch (see :func:`estimate_learning_rate`), with
+A refresh gathers its Hessian batch once as a factor ``C`` with
+``H_S = C' C``.  On CSR data the Nystrom build runs on the batch's column
+support ``S``, for O(nnz(C) r + |S| r^2) instead of O(p r^2) (see
+:func:`sketch_hessian`).  The step-size estimate runs its power iteration
+in the b_h-dimensional space of a fresh Hessian batch, on CSR data with
+the basis rows on that batch's support ``S'``, for O(nnz(C) + |S'| r) per
+sweep (see :func:`estimate_learning_rate`), with
 :func:`preconditioned_top_eigenvalue` as the generic reference.
 """
 
@@ -53,6 +58,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .data import Dataset
 from .linalg import Rng, make_rng
@@ -331,6 +337,14 @@ def preconditioned_top_eigenvalue(
     raise LearningRateError("learning-rate estimation failed")
 
 
+def _column_support(factor: sp.csr_matrix) -> tuple[np.ndarray, sp.csr_matrix]:
+    """The columns ``S`` holding the stored entries of the CSR ``factor``
+    (sorted), and ``factor`` with its columns renumbered onto them."""
+    support, cols = np.unique(factor.indices, return_inverse=True)
+    return support, sp.csr_matrix((factor.data, cols, factor.indptr),
+                                  shape=(factor.shape[0], support.size))
+
+
 def estimate_learning_rate(
     oracle: ProblemOracle,
     nys: NystromApprox,
@@ -351,26 +365,37 @@ def estimate_learning_rate(
     The powering of :func:`preconditioned_top_eigenvalue` runs in batch
     space.  With ``H_S = C' C`` (:meth:`ProblemOracle.hessian_factor`,
     gathered once) and ``B = C P^{-1/2}``, ``P^{-1/2} H_S P^{-1/2} = B' B``,
-    so the reference iterate ``y`` is carried as ``x = B y`` in R^|S|: the
+    so the reference iterate ``y`` is carried as ``x = B y`` in R^b_h: the
     Rayleigh quotient is ``||x||^2`` and, with ``u = C' x``, the next iterate
     is ``C P^{-1} u / sqrt(u' P^{-1} u)``.  The same Gaussian start and retry
-    give the same estimate in exact arithmetic, for one ``precond_inv_sqrt``
-    per start and one ``precond_solve`` and two passes over ``C`` per sweep,
-    in O(p + |S|) memory beyond ``C``.
+    give the same estimate in exact arithmetic.
+
+    On CSR data ``C`` is renumbered onto the batch's column support ``S'``.
+    ``u`` lives on ``S'``, and so does all of ``P^{-1} u`` that ``C`` reads,
+    so a sweep applies ``P^{-1}`` with the rows ``V[S']`` of the basis, for
+    O(nnz(C) + |S'| r).  Only the start needs ``V' z`` over all p (V lives
+    on the sketch batch's support, not on ``S'``): one ``precond_inv_sqrt``
+    per start and one ``precond_solve`` per sweep, in O(p + |S'| r) memory
+    beyond ``C``.
     """
     factor = oracle.hessian_factor(w, fresh_batch)
+    support, local = None, nys
+    if sp.issparse(factor):
+        support, factor = _column_support(factor)
+        local = replace(nys, basis=nys.basis[support])
     factor_t = factor.T
     for _ in range(2):
         z = rng.standard_normal(nys.p)
         norm_z = float(np.linalg.norm(z))
         if norm_z == 0.0:
             continue
-        x = factor @ precond_inv_sqrt(nys, rho, z / norm_z)
+        start = precond_inv_sqrt(nys, rho, z / norm_z)
+        x = factor @ (start if support is None else start[support])
         lam = math.nan
         for sweep in range(power_iters):
             lam = float(x @ x)
             u = factor_t @ x
-            solved = precond_solve(nys, rho, u)
+            solved = precond_solve(local, rho, u)
             norm_sq = float(u @ solved)
             if not (math.isfinite(lam) and norm_sq > 0.0):
                 break
@@ -388,11 +413,31 @@ def sketch_hessian(
     """Draw a Hessian batch and sketch the subsampled Hessian at ``w``.
 
     ``cfg`` is resolved; this costs ``rank * hess_batch_size`` sample rows.
+    The sketch applies ``H_S = C' C`` (:meth:`ProblemOracle.hessian_factor`,
+    gathered once).  On CSR data ``H_S`` lives on the batch's column support
+    ``S``, and the Nystrom approximation ``Y (Omega' Y)^+ Y'``, ``Y = H_S
+    Omega``, reads the test matrix only through its rows on ``S``.  So the
+    build runs on ``S``: a |S| x r Gaussian test matrix gives the same
+    distribution as a p x r one, and the QR, spectral norm, core and thin
+    SVD are |S| x r, for O(nnz(C) r + |S| r^2).  The basis is then embedded
+    in p x r, zero off ``S``, column-major as ``NystromApprox`` keeps it.
+    Dense data, and a support smaller than the rank, use all p columns.
     """
     batch = sample_batch(rng, oracle.n, cfg.hess_batch_size)
-    return rand_nys_approx(
-        lambda v: oracle.minibatch_hvp(w, batch, v), oracle.p, cfg.rank, rng, batch=batch
+    factor = oracle.hessian_factor(w, batch)
+    support = None
+    if sp.issparse(factor):
+        cols, local = _column_support(factor)
+        if cols.size >= cfg.rank:
+            support, factor = cols, local
+    nys = rand_nys_approx(
+        lambda v: factor.T @ (factor @ v), factor.shape[1], cfg.rank, rng, batch=batch
     )
+    if support is None:
+        return nys
+    basis = np.zeros((oracle.p, cfg.rank), order="F")
+    basis[support] = nys.basis
+    return replace(nys, basis=basis)
 
 
 #: Smallest scale a factored iterate keeps before folding it into its

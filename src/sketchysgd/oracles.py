@@ -15,7 +15,9 @@ Two hooks hand a caller gathered rows to work on without gathering again:
 ``row_block`` returns the rows of a block of minibatches and their labels
 (with ``loss_slope`` for the per-sample gradient coefficient), and
 ``hessian_factor`` returns ``C`` with ``C' C`` the minibatch Hessian, the
-curvature weights computed once.
+curvature weights computed once.  Every Nystrom build and step-size
+estimate works on ``C``; ``minibatch_hvp`` is the reference operator they
+are tested against.
 
 Every logistic loss (``full_loss``, ``mean_sample_loss``,
 ``minibatch_loss``) goes through one helper, ``_logistic_loss_sum``, which
@@ -262,9 +264,12 @@ class ProblemOracle:
         minibatch Hessian of :meth:`minibatch_hvp` (l2 excluded).
 
         CSR for sparse data, dense otherwise, with the curvature weights
-        computed once.  Step-size powering works on ``C`` in the |S|-dimensional
-        batch space (see ``optimizers.estimate_learning_rate``) instead of
-        gathering the batch again for every Hessian-vector product.
+        computed once.  The Nystrom build applies ``C' (C V)`` in one pass,
+        on CSR data restricted to the columns ``C`` touches (see
+        ``optimizers.sketch_hessian``), and step-size powering works on ``C``
+        in the |S|-dimensional batch space (see
+        ``optimizers.estimate_learning_rate``) instead of gathering the batch
+        again for every Hessian-vector product.
         """
         w = self._check_w(w)
         batch = self._check_batch(batch)

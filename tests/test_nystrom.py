@@ -192,6 +192,12 @@ def test_c_ordered_basis_is_accepted(apply, power):
     np.testing.assert_allclose(apply(nys, rho, v[:, 0]), dense @ v[:, 0], rtol=1e-11, atol=1e-13)
 
 
+def test_a_column_major_basis_is_kept_without_a_copy():
+    # optimizers.sketch_hessian allocates its embedded basis column-major
+    basis = np.asfortranarray(np.linalg.qr(make_rng(23).standard_normal((40, 6)))[0])
+    assert NystromApprox(basis, np.linspace(3.0, 1.0, 6)).basis is basis
+
+
 def test_rand_nys_approx_validates_rank():
     with pytest.raises(ValueError):
         rand_nys_approx(lambda v: v, 10, 0, make_rng(0))

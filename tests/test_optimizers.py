@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sketchysgd import optimizers
+from sketchysgd import nystrom, optimizers
 from sketchysgd.data import Dataset, split
-from sketchysgd.linalg import eigh_small, make_rng
+from sketchysgd.linalg import ORTHONORMAL_TOL, eigh_small, make_rng
 from sketchysgd.nystrom import NystromApprox, precond_solve, rand_nys_approx
 from sketchysgd.optimizers import (
     AUTO,
@@ -570,18 +570,31 @@ def powering_problem(kind):
         oracle = with_empty_rows(oracle, np.arange(0, oracle.n, 3))
     rng = make_rng(11)
     w = 0.3 * rng.standard_normal(oracle.p)
-    sketch_batch = sample_batch(rng, oracle.n, 40)
-    nys = rand_nys_approx(lambda v: oracle.minibatch_hvp(w, sketch_batch, v), oracle.p, 6, rng)
+    if kind == "csr-sketch":
+        # the basis lives on the sketch batch's support only
+        cfg = resolve_config(OptimizerConfig(rank=6, hess_batch_size=40), oracle)
+        nys = optimizers.sketch_hessian(oracle, cfg, w, rng)
+    else:
+        sketch_batch = sample_batch(rng, oracle.n, 40)
+        nys = rand_nys_approx(lambda v: oracle.minibatch_hvp(w, sketch_batch, v), oracle.p, 6,
+                              rng)
     return oracle, nys, 1e-3 * oracle.smoothness_upper_bound, w
 
 
-@pytest.mark.parametrize("kind", ["dense-ridge", "csr-logistic", "csr-empty-rows"])
+def support_of(oracle, batch):
+    return np.unique(oracle.data.features[batch].indices)
+
+
+@pytest.mark.parametrize("kind", ["dense-ridge", "csr-logistic", "csr-empty-rows", "csr-sketch"])
 @pytest.mark.parametrize("power_iters", [1, 10])
 def test_batch_space_powering_matches_reference_powering(kind, power_iters):
     oracle, nys, rho, w = powering_problem(kind)
     batch = sample_batch(make_rng(12), oracle.n, 25)
     if kind == "csr-empty-rows":
         assert (oracle.data.features[batch].getnnz(axis=1) == 0).any()
+    if kind == "csr-sketch":
+        fresh, sketched = support_of(oracle, batch), support_of(oracle, nys.batch)
+        assert not np.isin(fresh, sketched).all() and not np.isin(sketched, fresh).all()
     rng, ref_rng = make_rng(13), make_rng(13)
     eta = optimizers.estimate_learning_rate(oracle, nys, rho, w, batch, power_iters, rng, 0.5)
     lam = preconditioned_top_eigenvalue(lambda v: oracle.minibatch_hvp(w, batch, v), nys, rho,
@@ -604,6 +617,84 @@ def test_batch_space_powering_on_an_all_zero_batch_raises(sparse):
         preconditioned_top_eigenvalue(lambda v: oracle.minibatch_hvp(w, batch, v), nys, rho, 10,
                                       ref_rng)
     assert rng.standard_normal() == ref_rng.standard_normal()  # both retried once
+
+
+def sketch_problem(rank=6, hess_batch_size=40):
+    """A CSR logistic problem whose Hessian batches cover a fraction of the
+    columns, its resolved config and an iterate."""
+    oracle = csr_oracle("logistic", 1e-2, n=400, p=300, seed=20)
+    cfg = resolve_config(OptimizerConfig(rank=rank, hess_batch_size=hess_batch_size), oracle)
+    return oracle, cfg, 0.3 * make_rng(21).standard_normal(oracle.p)
+
+
+def record_test_matrices(monkeypatch):
+    """The shapes of the Gaussian test matrices the Nystrom builds draw."""
+    shapes = []
+    draw = nystrom.gaussian_matrix
+    monkeypatch.setattr(nystrom, "gaussian_matrix",
+                        lambda rng, p, r: shapes.append((p, r)) or draw(rng, p, r))
+    return shapes
+
+
+def test_a_csr_sketch_lives_on_its_batch_support(monkeypatch):
+    oracle, cfg, w = sketch_problem()
+    shapes = record_test_matrices(monkeypatch)
+    nys = optimizers.sketch_hessian(oracle, cfg, w, make_rng(22))
+    support = support_of(oracle, nys.batch)
+    assert cfg.rank <= support.size < oracle.p
+    assert shapes == [(support.size, cfg.rank)]
+    off = np.ones(oracle.p, dtype=bool)
+    off[support] = False
+    assert np.all(nys.basis[off] == 0.0)
+    assert np.abs(nys.basis.T @ nys.basis - np.eye(cfg.rank)).max() <= ORTHONORMAL_TOL
+    assert nys.basis.flags.f_contiguous
+
+
+def test_a_csr_sketch_is_the_nystrom_formula_on_its_support_draw():
+    oracle, cfg, w = sketch_problem()
+    nys = optimizers.sketch_hessian(oracle, cfg, w, make_rng(23))
+    rng = make_rng(23)
+    batch = sample_batch(rng, oracle.n, cfg.hess_batch_size)
+    support = support_of(oracle, batch)
+    omega = rng.standard_normal((support.size, cfg.rank))
+    y = oracle.hessian_matrix(w, batch)[np.ix_(support, support)] @ omega
+    expected = np.zeros((oracle.p, oracle.p))
+    expected[np.ix_(support, support)] = y @ np.linalg.solve(omega.T @ y, y.T)
+    # entries far below the largest carry its rounding
+    np.testing.assert_allclose(nys.matrix(), expected, rtol=1e-12,
+                               atol=1e-12 * np.abs(expected).max())
+
+
+def test_a_csr_sketch_on_a_support_below_the_rank_takes_every_column(monkeypatch):
+    # two rows of at most six entries each: fewer than 20 columns
+    oracle, cfg, w = sketch_problem(rank=20, hess_batch_size=2)
+    shapes = record_test_matrices(monkeypatch)
+    nys = optimizers.sketch_hessian(oracle, cfg, w, make_rng(24))
+    assert support_of(oracle, nys.batch).size < cfg.rank
+    assert shapes == [(oracle.p, cfg.rank)]
+    assert np.abs(nys.basis.T @ nys.basis - np.eye(cfg.rank)).max() <= ORTHONORMAL_TOL
+    np.testing.assert_allclose(nys.matrix(), oracle.hessian_matrix(w, nys.batch),
+                               rtol=0.0, atol=1e-12)
+
+
+def test_a_run_on_all_empty_rows_still_fails_its_step_size(monkeypatch):
+    oracle = csr_oracle("logistic", 1e-2, n=40, p=30)
+    oracle = with_empty_rows(oracle, np.arange(oracle.n))
+    shapes = record_test_matrices(monkeypatch)
+    with pytest.raises(optimizers.LearningRateError):
+        sketchysgd_run(oracle, OptimizerConfig(rank=3, hess_batch_size=5, max_passes=2.0))
+    assert shapes == [(oracle.p, 3)]
+
+
+def test_a_dense_sketch_draws_the_stream_it_always_drew():
+    ds, _ = planted_least_squares(300, 40, condition=1e3, seed=5)
+    oracle = ProblemOracle(ds, "ridge", 0.0)
+    cfg = resolve_config(OptimizerConfig(rank=6, hess_batch_size=30), oracle)
+    rng, ref = make_rng(25), make_rng(25)
+    optimizers.sketch_hessian(oracle, cfg, np.zeros(oracle.p), rng)
+    sample_batch(ref, oracle.n, cfg.hess_batch_size)
+    ref.standard_normal((oracle.p, cfg.rank))
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("block_rows, update_freq, max_passes", [
