@@ -20,7 +20,8 @@ with ``c = V.T v``: two passes over the basis, which is stored column-major
 so that each pass reads contiguous columns.  SketchySGD and its staged
 variant on CSR data do not call ``precond_solve`` per step: they apply the
 same formula to a gradient supported on the batch's columns, in factored
-form, for O(r nnz(batch)) (see ``optimizers._FactoredIterate``).  The
+form, with the basis rows on the sketch's ``support`` only, for
+O(nnz(batch) + |S| r) (see ``optimizers._FactoredIterate``).  The
 step-size estimate calls ``precond_inv_sqrt`` once per start and
 ``precond_solve`` once per power iteration, the latter on CSR data with the
 basis rows on the fresh batch's support ``S'`` only, for O(nnz(C) + |S'| r)
@@ -63,13 +64,17 @@ class NystromApprox:
     ``basis`` is p x r with orthonormal columns and ``eigenvalues`` holds the
     r nonnegative eigenvalue estimates in descending order.  ``batch`` records
     the Hessian batch behind the sketch; it is ``None`` for synthetic
-    operators.  Instances are immutable and safe to apply concurrently.
+    operators.  ``support``, if given, holds the sorted rows of ``basis``
+    outside which it is zero (a sketch on CSR data: the Hessian batch's
+    column support); ``None`` means any row may be nonzero.  Instances are
+    immutable and safe to apply concurrently.
     """
 
     basis: np.ndarray
     eigenvalues: np.ndarray
     batch: np.ndarray | None = None
     shift: float = 0.0
+    support: np.ndarray | None = None
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=np.float64)
@@ -96,7 +101,7 @@ class NystromApprox:
     @staticmethod
     def rank_zero(p: int) -> "NystromApprox":
         """Empty approximation; the preconditioner degenerates to rho*I."""
-        return NystromApprox(np.zeros((p, 0)), np.zeros(0))
+        return NystromApprox(np.zeros((p, 0)), np.zeros(0), support=np.zeros(0, dtype=np.intp))
 
     def matrix(self) -> np.ndarray:
         """Dense ``V diag(lam) V.T`` (diagnostics only)."""

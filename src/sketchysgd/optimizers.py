@@ -19,26 +19,30 @@ charged), and records losses on a pass schedule, or at every stage end when
 averaging.  Runs are bit-reproducible from (config, seed, dataset) apart
 from wall-clock fields.
 
+Every run draws its minibatches a block at a time: up to ``_BLOCK_ROWS``
+rows' worth in one :func:`sample_batch` call, never past the next refresh
+(or snapshot) or the last step, so the draws of a refresh stay between
+blocks.  Dense data and CSR data, factored and materialized steps, draw
+the same blocks.
+
 On CSR data every runner takes a factored step: between two refreshes
 the preconditioner is fixed, so the iterate is kept as
-``alpha * w_tilde + V s`` (see :class:`_FactoredIterate`) and a step costs
-O(r nnz(batch)) instead of O(r p): no p-length gradient, no
+``alpha * w_tilde + V s`` (see :class:`_FactoredIterate`), with the basis
+kept on its support ``S`` (the sketch batch's columns), and a step costs
+O(nnz(batch) + |S| r) instead of O(r p): no p-length gradient, no
 ``precond_solve``, no pass over w.  SGD is that step with the rank-zero
 preconditioner and ``rho = 1`` (P = I, never refreshed), in O(nnz(batch)).
 SVRG is the SGD step plus a drift ``c d`` that carries the snapshot
 correction, also O(nnz(batch)) per step, and one full gradient per
 snapshot, which restarts the factored iterate as a refresh would.  The
 staged variant keeps its stage sum in the same lazy form, for
-O(nnz(batch)) more per step and O(r p) to form the average at a stage end.
-Between two refreshes (or snapshots) only ``sample_batch`` draws from the
-generator, so such a run draws the batches of up to ``_BLOCK_ROWS`` rows at
-once, through the same calls in the same order, and gathers their rows and
-multiplies them by V once per block; the extra memory is O(_BLOCK_ROWS r +
-nnz(block)).  The iterate itself is built, in O(r p), only at a refresh, a
-snapshot, an evaluation, a stage end and the end of the run.  It is the
-same step as the materialized one, rounded differently (a relative
-difference around 1e-15 on the losses).  Dense data takes the materialized
-step.
+O(nnz(batch)) more per step and O(p + |S| r) to form the average at a
+stage end.  A block's rows are gathered once; the extra memory is
+O(nnz(block)).  The iterate itself is built, in O(p + |S| r), only at a
+refresh, a snapshot, an evaluation, a stage end and the end of the run.
+It is the same step as the materialized one, rounded differently (a
+relative difference around 1e-15 on the losses).  Dense data takes the
+materialized step.
 
 A refresh gathers its Hessian batch once as a factor ``C`` with
 ``H_S = C' C``.  On CSR data the Nystrom build runs on the batch's column
@@ -382,7 +386,7 @@ def estimate_learning_rate(
     support, local = None, nys
     if sp.issparse(factor):
         support, factor = _column_support(factor)
-        local = replace(nys, basis=nys.basis[support])
+        local = replace(nys, basis=nys.basis[support], support=None)
     factor_t = factor.T
     for _ in range(2):
         z = rng.standard_normal(nys.p)
@@ -420,8 +424,9 @@ def sketch_hessian(
     build runs on ``S``: a |S| x r Gaussian test matrix gives the same
     distribution as a p x r one, and the QR, spectral norm, core and thin
     SVD are |S| x r, for O(nnz(C) r + |S| r^2).  The basis is then embedded
-    in p x r, zero off ``S``, column-major as ``NystromApprox`` keeps it.
-    Dense data, and a support smaller than the rank, use all p columns.
+    in p x r, zero off ``S``, column-major as ``NystromApprox`` keeps it, and
+    ``S`` is recorded as its ``support``.  Dense data, and a support smaller
+    than the rank, use all p columns (``support`` None).
     """
     batch = sample_batch(rng, oracle.n, cfg.hess_batch_size)
     factor = oracle.hessian_factor(w, batch)
@@ -429,7 +434,7 @@ def sketch_hessian(
     if sp.issparse(factor):
         cols, local = _column_support(factor)
         if cols.size >= cfg.rank:
-            support, factor = cols, local
+            support, factor = cols.astype(np.intp), local
     nys = rand_nys_approx(
         lambda v: factor.T @ (factor @ v), factor.shape[1], cfg.rank, rng, batch=batch
     )
@@ -437,15 +442,15 @@ def sketch_hessian(
         return nys
     basis = np.zeros((oracle.p, cfg.rank), order="F")
     basis[support] = nys.basis
-    return replace(nys, basis=basis)
+    return replace(nys, basis=basis, support=support)
 
 
 #: Smallest scale a factored iterate keeps before folding it into its
 #: vector; below it the vector's entries grow as 1/alpha.
 _ALPHA_FLOOR = 1e-8
 
-#: Sample rows a factored run draws, gathers and multiplies by the basis at
-#: a time (whole minibatches, at least one).
+#: Sample rows a run draws at a time, and a factored run gathers at a time
+#: (whole minibatches, at least one).
 _BLOCK_ROWS = 8192
 
 
@@ -477,14 +482,28 @@ class _FactoredIterate:
     margins ``alpha X_B w_tilde + c X_B d``.  A block's load also forms
     ``X [w_snap, d]``, in one product, for the snapshot slopes and ``X d``.
 
-    Steps run on a block of prefetched minibatches (:meth:`load`): their
-    rows ``X`` are gathered once and multiplied once by V (kept C-ordered
-    for that product), ``M = X V``.  A step on rows ``X_k`` then needs the
-    margins ``alpha * X_k w_tilde + M_k s`` and ``u = M_k' slope`` for
-    O(nnz(X_k) + r |B|), and updates ``w_tilde`` on the batch's columns
-    only.  ``w`` is built, in O(p r), only when asked for.  When alpha falls
-    below ``_ALPHA_FLOOR`` (every step once ``eta * l2 >= rho``) it is first
-    folded into ``w_tilde``, an O(p) re-base.
+    V is kept on its support ``S`` only (``NystromApprox.support``: on CSR
+    data the sketch batch's column support, every row after the all-p
+    fallback, none at rank zero), as a column-major (|S| + 1) x r block
+    ``V_S`` whose trailing row is zero, with a p-length map from each column
+    to its place in ``S`` and from the columns off ``S`` to that trailing
+    row.  Both products with ``V_S`` are matrix-vector products, which run
+    faster column-major (2.5 against 4.5 us at |S| = 1067, r = 10, one
+    OpenBLAS thread).  Steps run on a block of minibatches drawn at once
+    (:meth:`load`): their rows are gathered once, and their column indices
+    are converted to intp and mapped onto ``S`` once.  A step on rows ``X_k`` forms ``V_S s`` once,
+    reads the margins ``X_k (alpha w_tilde + V s)`` from the gathered
+    entries, and forms ``u = V_S' (X_k' slope)_S`` with one ``bincount``
+    onto ``S``, whose weights ``vals * slope[rows]`` are also the update
+    terms; it updates ``w_tilde`` on the batch's columns only.  A step
+    costs O(nnz(X_k) + |S| r) and a refresh O(p + |S| r) beyond the sketch;
+    no product of the block with V is formed.  The |S| r term dominates
+    where |S| >> nnz(X_k), e.g. Hessian batches far larger than gradient
+    batches with little column overlap (n in the millions at the default
+    b_h = sqrt(n)).  ``w`` is built, in O(p + |S| r), only when asked for.
+    When alpha falls below ``_ALPHA_FLOOR`` (every step once
+    ``eta * l2 >= rho``) it is first folded into ``w_tilde``, an O(p)
+    re-base.
 
     Given a ``stage_sum`` (the sum of the current stage's iterates so far),
     the iterate also keeps adding its steps to it, in the lazy form of
@@ -493,14 +512,20 @@ class _FactoredIterate:
     adds ``A`` times its change of ``w_tilde`` to ``offset`` on the batch's
     columns, and ``sum s_k`` is kept as an r-vector.  That is O(nnz(X_k))
     more per step; a re-base also folds ``A w_tilde - offset`` into the
-    dense carry, in O(p), and :meth:`stage_sum` builds the sum in O(p r).
+    dense carry, in O(p), and :meth:`stage_sum` builds the sum in
+    O(p + |S| r).
     """
 
     def __init__(self, w: np.ndarray, nys: NystromApprox, rho: float, eta: float,
                  oracle: ProblemOracle, stage_sum: np.ndarray | None = None,
                  full_gradient: np.ndarray | None = None):
         self.oracle = oracle
-        self.basis = np.ascontiguousarray(nys.basis)
+        self.support = np.arange(oracle.p) if nys.support is None else nys.support
+        size = self.support.size
+        self.basis = np.zeros((size + 1, nys.rank), order="F")
+        self.basis[:size] = nys.basis[self.support]
+        self.place = np.full(oracle.p, size, dtype=np.intp)
+        self.place[self.support] = np.arange(size)
         self.gain = (nys.eigenvalues + rho) ** -1.0 - rho**-1.0
         self.eta, self.l2, self.step_over_rho = eta, oracle.l2, eta / rho
         self.beta = 1.0 - eta * oracle.l2 / rho
@@ -511,45 +536,38 @@ class _FactoredIterate:
         self.anchor = None if full_gradient is None else np.column_stack(
             [w, full_gradient - oracle.l2 * w])
         self.restart(w, stage_sum)
-        self._next = self._loaded = 0
 
     def restart(self, w: np.ndarray, stage_sum: np.ndarray | None) -> None:
         """Re-base at ``w``, which becomes the built iterate, with
         ``stage_sum`` as the stage sum when averaging; the loaded block
-        stays valid, since ``M = X V`` does not depend on w."""
+        stays valid, since it does not depend on w."""
         self.w_tilde, self.alpha, self.s = w.copy(), 1.0, np.zeros(self.gain.size)
         self.c = 0.0
-        self.t = self.basis.T @ w
+        self.t = w[self.support] @ self.basis[:-1]
         self._w = w
         if self.averaging:
             self._carry, self._scale_sum = stage_sum, 0.0
             self._offset, self._s_sum = np.zeros(w.size), np.zeros(self.gain.size)
 
-    @property
-    def pending(self) -> int:
-        """Loaded minibatches not stepped on yet."""
-        return self._loaded - self._next
-
-    def load(self, batches: list[np.ndarray]) -> None:
-        """Gather the rows of ``batches`` (equal sizes) for the next steps.
-
-        Holds ``M`` (rows x r) and the rows' nonzeros until the next load.
-        """
-        size = batches[0].size
-        feats, self._labels = self.oracle.row_block(np.concatenate(batches))
-        self._products = feats @ self.basis
+    def load(self, batches: np.ndarray) -> None:
+        """Gather the rows of ``batches`` (one minibatch per row) for the
+        next steps; holds their nonzeros until the next load."""
+        size = batches.shape[1]
+        feats, self._labels = self.oracle.row_block(batches.ravel())
         if self.anchor is not None:
             snap, self._drift_margins = (feats @ self.anchor).T
             self._snap_slopes = self.oracle.loss_slope(snap, self._labels)
-        self._cols, self._vals = feats.indices, feats.data
+        self._cols, self._vals = feats.indices.astype(np.intp, copy=False), feats.data
+        if self.gain.size:
+            self._places = self.place[self._cols]
         # each entry's row within its own minibatch
         self._rows = np.repeat(np.arange(feats.shape[0]) % size, np.diff(feats.indptr))
         self._bounds = feats.indptr[::size].tolist()
-        self._size, self._next, self._loaded = size, 0, len(batches)
+        self._size = size
 
-    def step(self) -> bool:
-        """One step on the next loaded minibatch; False if alpha, c, s, the
-        margins or the update terms are no longer finite.
+    def step(self, j: int) -> bool:
+        """One step on the ``j``-th loaded minibatch; False if alpha, c, s,
+        the margins or the update terms are no longer finite.
 
         The margins read ``w_tilde`` on the batch's columns before the
         update, so a non-finite entry is caught by the next step that
@@ -557,21 +575,28 @@ class _FactoredIterate:
         caught there too, or, if no later step touches that column, by the
         loop's check of the next built iterate.
         """
-        j, size = self._next, self._size
-        lo, hi = self._bounds[j], self._bounds[j + 1]
+        size, lo, hi = self._size, self._bounds[j], self._bounds[j + 1]
         rows, cols, vals = self._rows[lo:hi], self._cols[lo:hi], self._vals[lo:hi]
         batch = slice(j * size, (j + 1) * size)
-        products = self._products[batch]
-        self._next = j + 1
-        z = (self.alpha * np.bincount(rows, weights=vals * self.w_tilde[cols], minlength=size)
-             + products @ self.s)
+        coords = self.w_tilde[cols]
+        coords *= self.alpha
+        if self.gain.size:
+            places = self._places[lo:hi]
+            coords += (self.basis @ self.s)[places]  # (V s)[cols], zero off S
+        coords *= vals
+        z = np.bincount(rows, weights=coords, minlength=size)
         if self.anchor is not None:
             z += self.c * self._drift_margins[batch]
         slope = self.oracle.loss_slope(z, self._labels[batch])
         if self.anchor is not None:
             slope -= self._snap_slopes[batch]
             self.c = self.beta * self.c - self.eta
-        u = (products.T @ slope) / size
+        weighted = slope[rows]
+        weighted *= vals
+        u = 0.0
+        if self.gain.size:
+            u = (np.bincount(places, weights=weighted, minlength=self.basis.shape[0])
+                 @ self.basis) / size
         delta = self.gain * (u + self.l2 * self.t)
         alpha = self.beta * self.alpha
         finite = math.isfinite(alpha) and math.isfinite(self.c)
@@ -583,7 +608,7 @@ class _FactoredIterate:
             self.w_tilde *= alpha
             alpha = 1.0
         self.alpha = alpha
-        terms = (self.step_over_rho / (alpha * size)) * (vals * slope[rows])
+        terms = (self.step_over_rho / (alpha * size)) * weighted
         np.subtract.at(self.w_tilde, cols, terms)
         self.s = self.beta * self.s - self.eta * delta
         self.t = self.beta * self.t - self.step_over_rho * u - self.eta * delta
@@ -598,7 +623,8 @@ class _FactoredIterate:
     def iterate(self) -> np.ndarray:
         """``w = alpha * w_tilde + V s (+ c d)`` (cached until the next step)."""
         if self._w is None:
-            self._w = self.alpha * self.w_tilde + self.basis @ self.s
+            self._w = self.alpha * self.w_tilde
+            self._w[self.support] += self.basis[:-1] @ self.s
             if self.anchor is not None:
                 self._w += self.c * self.anchor[:, 1]
         return self._w
@@ -606,12 +632,13 @@ class _FactoredIterate:
     def stage_sum(self) -> np.ndarray:
         """The stage sum given at the last (re)start plus every iterate
         stepped to since: ``carry + A w_tilde - offset + V sum s_k``."""
-        return (self._carry + self._scale_sum * self.w_tilde - self._offset
-                + self.basis @ self._s_sum)
+        out = self._carry + self._scale_sum * self.w_tilde - self._offset
+        out[self.support] += self.basis[:-1] @ self._s_sum
+        return out
 
 
 def _block_steps(cfg: OptimizerConfig, update_freq: float, k: int, touched: int, n: int) -> int:
-    """Steps a factored run can prefetch before step ``k + 1``: the loop
+    """Minibatches a run draws at once before step ``k + 1``: the loop
     takes them all, with no refresh between them, unless it diverges.
 
     At most one block, and never past the next refresh or snapshot (every
@@ -653,9 +680,10 @@ def _drive(
     SGD plus the snapshot's drift, restarted at every snapshot, in
     O(nnz(batch)) per step and one full gradient per snapshot, and an
     averaged run adding each step to the stage sum in O(nnz(batch)) and
-    forming the average in O(p r) at a stage end.  Divergence is detected
-    explicitly (:class:`DivergenceError`), so the arithmetic runs with
-    overflow and invalid-value warnings off.
+    forming the average in O(p + |S| r) at a stage end.  Both paths draw
+    the same blocks of minibatches.  Divergence is detected explicitly
+    (:class:`DivergenceError`), so the arithmetic runs with overflow and
+    invalid-value warnings off.
     """
     n, bg = oracle.n, cfg.grad_batch_size
     rng = make_rng(cfg.seed)
@@ -674,6 +702,8 @@ def _drive(
     estimate = precondition and eta is None
     stage_sum, produced = np.zeros(oracle.p) if average else None, 0
     state = None
+    # the minibatches drawn at once, of which the first ``taken`` are stepped on
+    block, taken = [], 0
     # Sample rows touched, kept as an integer so that the passes equal the
     # analytic b_g*K/n + sum_j (r+q)*b_h/n (+1 per snapshot) to the last bit.
     touched = k = updates = lr_estimates = snapshots = 0
@@ -715,17 +745,20 @@ def _drive(
                 lr_estimates += 1
         if factored and (refresh or snapshot or state is None):
             state = _FactoredIterate(w, nys, rho, eta, oracle, stage_sum, mu if svrg else None)
-        if state is None:
-            batch = sample_batch(rng, n, bg)
-        elif not state.pending:
-            # Only sample_batch draws from rng until the next refresh, so
-            # drawing these batches now leaves every batch as it was.
-            state.load([sample_batch(rng, n, bg)
-                        for _ in range(_block_steps(cfg, update_freq, k, touched, n))])
+        if taken == len(block):
+            # _block_steps ends a block at the next refresh, and for a
+            # factored run at the next snapshot too, so a block never comes
+            # between a refresh's draws and a factored iterate loads every
+            # block it steps on.
+            block, taken = sample_batch(
+                rng, n, bg, count=_block_steps(cfg, update_freq, k, touched, n)), 0
+            if state is not None:
+                state.load(block)
+        batch, taken = block[taken], taken + 1
         touched += bg
         k += 1
         if state is not None:
-            if not state.step():
+            if not state.step(taken - 1):
                 raise DivergenceError(k, recorder.records)
         else:
             grad = oracle.minibatch_gradient(w, batch)

@@ -59,14 +59,43 @@ def _logistic_loss_sum(t: np.ndarray) -> float:
     return float(soft.sum())
 
 
-def sample_batch(rng: Rng, n: int, b: int) -> np.ndarray:
-    """Uniform random b-subset of {0..n-1}, without replacement, sorted."""
+def sample_batch(rng: Rng, n: int, b: int, count: int | None = None) -> np.ndarray:
+    """Uniform random b-subset of {0..n-1}, without replacement, sorted.
+
+    With ``count`` given, ``count`` independent such subsets as the rows of
+    a (count, b) array, drawn at once.  Each row starts as b i.i.d. draws
+    from {0..n-1}; after sorting, every repeat of a value is redrawn, until
+    all rows hold distinct values.  Relabelling {0..n-1} by any
+    permutation leaves the law of that procedure unchanged, so every
+    b-subset is equally likely.  When ``2b > n`` the n - b values left out
+    are drawn that way instead, so that every redraw lands on a new value
+    with probability at least one half.  ``b == n`` draws nothing.
+    """
     if not 1 <= b <= n:
         raise ValueError(f"batch size {b} must lie in [1, {n}]")
+    rows = 1 if count is None else count
     if b == n:
-        return np.arange(n, dtype=np.int64)
-    idx = rng.choice(n, size=b, replace=False)
-    return np.sort(idx.astype(np.int64))
+        out = np.tile(np.arange(n, dtype=np.int64), (rows, 1))
+    elif 2 * b > n:
+        keep = np.ones((rows, n), dtype=bool)
+        keep[np.arange(rows)[:, None], _distinct_rows(rng, n, rows, n - b)] = False
+        out = np.nonzero(keep)[1].astype(np.int64).reshape(rows, b)
+    else:
+        out = _distinct_rows(rng, n, rows, b)
+    return out[0] if count is None else out
+
+
+def _distinct_rows(rng: Rng, n: int, rows: int, k: int) -> np.ndarray:
+    """``rows`` sorted rows of k distinct values from {0..n-1} (see :func:`sample_batch`)."""
+    out = rng.integers(0, n, size=(rows, k))
+    out.sort(axis=1)
+    while True:
+        row, col = np.nonzero(out[:, 1:] == out[:, :-1])
+        if not row.size:
+            return out
+        out[row, col + 1] = rng.integers(0, n, size=row.size)
+        hit = np.unique(row)
+        out[hit] = np.sort(out[hit], axis=1)
 
 
 @dataclass(frozen=True)
@@ -169,25 +198,6 @@ class ProblemOracle:
         """Whether ``batch`` is exactly ``arange(n)``, e.g. an SVRG snapshot."""
         return batch.size == self.n and batch[0] == 0 and bool(np.all(np.diff(batch) == 1))
 
-    def _gather_rows(self, batch: np.ndarray):
-        """Nonzeros of the CSR rows ``batch``, in storage order.
-
-        Returns ``(rows, cols, vals)``: the position of each entry's row in
-        ``batch``, its column and its value.  Products built from these with
-        ``np.bincount`` add the same terms in the same order as scipy's
-        ``csr_matvec``/``csc_matvec`` on ``features[batch]``, so they agree
-        to the last bit without materializing the row slice.
-        """
-        feats = self.data.features
-        starts = feats.indptr[batch]
-        counts = feats.indptr[batch + 1] - starts
-        ends = np.cumsum(counts)
-        # Row j's entries occupy gathered slots ends[j] - counts[j] .. ends[j] - 1;
-        # slot t holds the stored entry starts[j] + t - (ends[j] - counts[j]).
-        positions = np.repeat(starts - (ends - counts), counts) + np.arange(ends[-1])
-        rows = np.repeat(np.arange(batch.size), counts)
-        return rows, feats.indices[positions], feats.data[positions]
-
     def _logistic_weights(self, z: np.ndarray, batch: np.ndarray) -> np.ndarray:
         s = expit(self.data.labels[batch] * z)
         return s * (1.0 - s)
@@ -205,9 +215,9 @@ class ProblemOracle:
         ``batch`` holds valid row indices (as drawn by :func:`sample_batch`);
         it may concatenate several minibatches.  One row gather, so a caller
         that steps through many minibatches can pay for it once: every
-        runner on CSR data forms ``features[batch] @ V`` (SVRG also the
-        product with its snapshot and drift) for a whole block of
-        prefetched minibatches (see ``optimizers._FactoredIterate``).
+        runner on CSR data gathers a whole block of minibatches drawn at
+        once, and SVRG also forms the block's product with its snapshot and
+        drift (see ``optimizers._FactoredIterate``).
         """
         return self.data.features[batch], self.data.labels[batch]
 
@@ -215,16 +225,9 @@ class ProblemOracle:
         """``(1/|B|) sum_{i in B} grad f_i(w) + l2 * w``."""
         w = self._check_w(w)
         batch = self._check_batch(batch)
-        full = self._is_full(batch)
-        if self.data.is_sparse and not full:
-            rows, cols, vals = self._gather_rows(batch)
-            z = np.bincount(rows, weights=vals * w[cols], minlength=batch.size)
-            slope = self.loss_slope(z, self.data.labels[batch])
-            grad = np.bincount(cols, weights=vals * slope[rows], minlength=self.p)
-        else:
-            feats = self.data.features if full else self.data.features[batch]
-            coeff = self.loss_slope(np.asarray(feats @ w).ravel(), self.data.labels[batch])
-            grad = np.asarray(feats.T @ coeff).ravel()
+        feats = self.data.features if self._is_full(batch) else self.data.features[batch]
+        coeff = self.loss_slope(np.asarray(feats @ w).ravel(), self.data.labels[batch])
+        grad = np.asarray(feats.T @ coeff).ravel()
         return grad / batch.size + self.l2 * w
 
     def curvature_weights(self, w: np.ndarray, batch: np.ndarray) -> np.ndarray:
@@ -239,25 +242,21 @@ class ProblemOracle:
         """``(1/|S|) sum_{i in S} d_i(w) a_i (a_i' v)``, l2 term excluded.
 
         ``v`` may be a vector of length p or a block of shape (p, r); blocks
-        are pushed through the data in one pass.
+        are pushed through the data in one pass.  A vector's product is
+        scaled by 1/|S| last, as ``features[batch]`` products would be.
         """
         w = self._check_w(w)
         batch = self._check_batch(batch)
         v = np.asarray(v, dtype=np.float64)
         if v.shape[0] != self.p:
             raise ValueError(f"vector has leading dimension {v.shape[0]}, expected {self.p}")
-        if self.data.is_sparse and v.ndim == 1:
-            rows, cols, vals = self._gather_rows(batch)
-            weighted = np.bincount(rows, weights=vals * v[cols], minlength=batch.size)
-            if self.task == "logistic":
-                z = np.bincount(rows, weights=vals * w[cols], minlength=batch.size)
-                weighted = weighted * self._logistic_weights(z, batch)
-            return np.bincount(cols, weights=vals * weighted[rows], minlength=self.p) / batch.size
         feats = self.data.features[batch]
         av = np.asarray(feats @ v)
+        d = self.curvature_weights(w, batch)
+        if av.ndim == 1:
+            return np.asarray(feats.T @ (av * d)).ravel() / batch.size
         # Scaled by 1/|S| here, on |S| rows, rather than on the p x r product.
-        d = self.curvature_weights(w, batch) / batch.size
-        return np.asarray(feats.T @ (av * (d[:, None] if av.ndim == 2 else d)))
+        return np.asarray(feats.T @ (av * (d / batch.size)[:, None]))
 
     def hessian_factor(self, w: np.ndarray, batch: np.ndarray):
         """``C = diag(sqrt(d_i(w) / |S|)) A_S``, so that ``C' C`` is the

@@ -648,6 +648,7 @@ def test_a_csr_sketch_lives_on_its_batch_support(monkeypatch):
     assert np.all(nys.basis[off] == 0.0)
     assert np.abs(nys.basis.T @ nys.basis - np.eye(cfg.rank)).max() <= ORTHONORMAL_TOL
     assert nys.basis.flags.f_contiguous
+    assert np.array_equal(nys.support, support)
 
 
 def test_a_csr_sketch_is_the_nystrom_formula_on_its_support_draw():
@@ -672,6 +673,7 @@ def test_a_csr_sketch_on_a_support_below_the_rank_takes_every_column(monkeypatch
     nys = optimizers.sketch_hessian(oracle, cfg, w, make_rng(24))
     assert support_of(oracle, nys.batch).size < cfg.rank
     assert shapes == [(oracle.p, cfg.rank)]
+    assert nys.support is None
     assert np.abs(nys.basis.T @ nys.basis - np.eye(cfg.rank)).max() <= ORTHONORMAL_TOL
     np.testing.assert_allclose(nys.matrix(), oracle.hessian_matrix(w, nys.batch),
                                rtol=0.0, atol=1e-12)
@@ -716,8 +718,8 @@ def test_prefetched_batches_are_the_batches_of_the_materialized_loop(monkeypatch
                              max_passes=max_passes, seed=16)
     cfg = resolve_config(config, oracle)
     draws, loads = [], []
-    monkeypatch.setattr(optimizers, "sample_batch",
-                        lambda rng, n, b: draws[-1].append(sample_batch(rng, n, b)) or draws[-1][-1])
+    monkeypatch.setattr(optimizers, "sample_batch", lambda rng, n, b, count=None:
+                        draws[-1].append(sample_batch(rng, n, b, count)) or draws[-1][-1])
     load = optimizers._FactoredIterate.load
     monkeypatch.setattr(optimizers._FactoredIterate, "load",
                         lambda self, batches: loads.append(len(batches)) or load(self, batches))
@@ -732,6 +734,70 @@ def test_prefetched_batches_are_the_batches_of_the_materialized_loop(monkeypatch
     assert sum(loads) == runs[0].iterations and max(loads) == min(block, cfg.update_freq)
     if max_passes == 2.9:
         assert loads[-1] < block
+
+
+def preconditioned_run(runner, oracle):
+    """A SketchySGD or staged run on ``oracle`` with a few refreshes."""
+    base = dict(rank=6, hess_batch_size=20, grad_batch_size=32, update_freq=10, max_passes=5.0,
+                seed=26)
+    if runner == "staged":
+        return sketchysgd_theoretical_run(
+            oracle, OptimizerConfig(mode="theoretical", learning_rate=AUTO, stage_length=4, **base))
+    return sketchysgd_run(oracle, OptimizerConfig(**base), eval_every=0.5)
+
+
+@pytest.mark.parametrize("runner", ["sketchysgd", "staged"])
+def test_a_factored_run_forms_no_product_of_its_rows_with_the_basis(monkeypatch, runner):
+    oracle, _cfg, _w = sketch_problem()
+    products = []
+    matmul = sp.csr_matrix.__matmul__
+
+    def counting(self, other):
+        if np.ndim(other) == 2 and np.shape(other)[0] == oracle.p:
+            products.append(np.shape(other))
+        return matmul(self, other)
+
+    monkeypatch.setattr(sp.csr_matrix, "__matmul__", counting)
+    res = preconditioned_run(runner, oracle)
+    assert res.precond_updates >= 3
+    assert products == []
+
+
+@pytest.mark.parametrize("runner", ["sketchysgd", "staged"])
+def test_a_factored_iterate_keeps_no_p_row_block(monkeypatch, runner):
+    oracle, _cfg, _w = sketch_problem()
+    states = []
+    load = optimizers._FactoredIterate.load
+    monkeypatch.setattr(optimizers._FactoredIterate, "load",
+                        lambda self, batches: states.append(self) or load(self, batches))
+    res = preconditioned_run(runner, oracle)
+    assert len({id(state) for state in states}) == res.precond_updates >= 3
+    for state in states:
+        assert state.support.size < oracle.p
+        for value in vars(state).values():
+            assert not (isinstance(value, np.ndarray) and value.ndim == 2
+                        and value.shape[0] >= oracle.p and value.shape[1] > 0)
+
+
+@pytest.mark.parametrize("runner", ["sketchysgd", "staged"])
+@pytest.mark.parametrize("learning_rate", [None, 0.005])
+def test_factored_step_after_the_all_p_fallback_matches_materialized_step(monkeypatch, runner,
+                                                                          learning_rate):
+    # two Hessian rows of at most six entries each: every sketch takes all p columns
+    oracle, _cfg, _w = sketch_problem()
+    shapes = record_test_matrices(monkeypatch)
+    if runner == "staged":
+        learning_rate = AUTO if learning_rate is None else learning_rate
+        config = OptimizerConfig(mode="theoretical", rank=20, hess_batch_size=2, grad_batch_size=32,
+                                 update_freq=10, stage_length=4, learning_rate=learning_rate,
+                                 max_passes=3.0, seed=27)
+    else:
+        config = OptimizerConfig(rank=20, hess_batch_size=2, grad_batch_size=32, update_freq=10,
+                                 learning_rate=learning_rate, max_passes=3.0, seed=27)
+    factored, dense = run_both(oracle, config, monkeypatch, runner=runner)
+    assert factored.precond_updates >= 3
+    assert set(shapes) == {(oracle.p, 20)}
+    assert_same_run(factored, dense)
 
 
 @pytest.mark.parametrize("task, l2", [("logistic", 1e-2), ("ridge", 0.0)])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy import stats
 from scipy.special import expit
 
 from sketchysgd.data import Dataset
@@ -331,6 +332,44 @@ def test_sample_batch_uniform_frequencies():
     freq = counts / draws
     sigma = math.sqrt(0.3 * 0.7 / draws)
     assert np.all(np.abs(freq - 0.3) <= 5 * sigma)
+
+
+@pytest.mark.parametrize("b", [3, 4])  # b = n/2 draws the subset, b > n/2 its complement
+def test_sample_batch_gives_every_subset_the_same_probability(b):
+    n, draws = 6, 60000
+    rows = sample_batch(make_rng(40), n, b, count=draws)
+    subsets, counts = np.unique(np.sum(1 << rows, axis=1), return_counts=True)
+    assert subsets.size == math.comb(n, b)
+    expected = draws / subsets.size
+    chi_square = float(np.sum((counts - expected) ** 2) / expected)
+    assert chi_square <= stats.chi2.ppf(0.999, subsets.size - 1)
+
+
+@pytest.mark.parametrize("n, b, count", [
+    (50, 1, 40), (50, 7, 200), (50, 25, 200), (50, 26, 200), (50, 49, 40),
+    (50000, 256, 8), (4096, 2048, 4), (4096, 4095, 4),
+])
+def test_sample_batch_rows_are_sorted_distinct_int64_and_in_range(n, b, count):
+    rows = sample_batch(make_rng(41), n, b, count=count)
+    assert rows.dtype == np.int64 and rows.shape == (count, b)
+    assert np.all(np.diff(rows, axis=1) > 0)
+    assert rows.min() >= 0 and rows.max() < n
+
+
+def test_sample_batch_without_count_is_one_row_of_the_block_draw():
+    rng, ref = make_rng(42), make_rng(42)
+    for n, b in ((50, 7), (50, 30), (50, 50)):
+        assert np.array_equal(sample_batch(rng, n, b), sample_batch(ref, n, b, count=1)[0])
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("count", [None, 3])
+def test_sample_batch_of_every_row_consumes_no_draw(count):
+    rng = make_rng(43)
+    state = rng.bit_generator.state
+    rows = sample_batch(rng, 9, 9, count=count)
+    assert rng.bit_generator.state == state
+    assert np.array_equal(rows, np.arange(9) if count is None else np.tile(np.arange(9), (3, 1)))
 
 
 def test_sample_batch_validation():
