@@ -53,8 +53,10 @@ optimizer) min(256, n); ``hess_batch_size`` floor(sqrt(n)); ``update_freq``
 never for ridge (as does ``"inf"``) and ceil(n/grad_batch_size) for
 logistic; ``stage_length`` ceil(n/grad_batch_size); ``learning_rate``
 re-estimated at every refresh for SketchySGD and max(1/(3L), 1/(2(L +
-n*l2))) for SGD and SVRG.  ``lr_scale`` and ``power_iters`` take numbers
-only.  ``validate`` and ``run`` resolve every (optimizer, seed) job before
+n*l2))) for SGD and SVRG.  Each setting, overrides included, must pass
+``optimizers.settings_problems``, the rules the library applies: counts are
+whole numbers >= 1 (3.0 counts), seeds integers >= 0, and every number
+finite.  ``validate`` and ``run`` resolve every (optimizer, seed) job before
 the first one starts: a setting that does not fit the data, such as a rank
 above p or a batch size above n, is a config error,
 ``optimizers[i] (<label>): <reason>``, and ``run`` then writes no file.
@@ -97,12 +99,14 @@ from .linalg import DiagnosticCapError
 from .nystrom import SketchNotPsdError
 from .optimizers import (
     AUTO,
+    BASELINE_FIELDS,
     DivergenceError,
     LearningRateError,
     MetricsRecord,
     OptimizerConfig,
     resolve_baseline_config,
     resolve_config,
+    settings_problems,
     sgd_run,
     sketchysgd_run,
     sketchysgd_theoretical_run,
@@ -118,12 +122,11 @@ EXIT_CAPS = 4
 OPTIMIZER_NAMES = ("sketchysgd", "sketchysgd-theoretical", "sgd", "svrg")
 BASELINES = ("sgd", "svrg")
 
-# A SketchySGD entry sets any hyperparameter of OptimizerConfig; the run-wide
-# max_passes and seeds and the mode (from the name) come from elsewhere.
-_SKETCHY_KEYS = {"name", "label"} | (
-    {f.name for f in fields(OptimizerConfig)} - {"max_passes", "seed", "mode"}
-)
-_FIRST_ORDER_KEYS = {"name", "label", "learning_rate", "grad_batch_size"}
+# An entry sets the hyperparameters its runner reads; the run-wide max_passes
+# and seeds and the mode (from the name) come from elsewhere.
+_RUN_WIDE = {"max_passes", "seed", "mode"}
+_SKETCHY_KEYS = {"name", "label"} | ({f.name for f in fields(OptimizerConfig)} - _RUN_WIDE)
+_FIRST_ORDER_KEYS = {"name", "label"} | (set(BASELINE_FIELDS) - _RUN_WIDE)
 
 
 class ConfigError(ValueError):
@@ -201,29 +204,19 @@ def _validate_optimizer(spec, i, problems):
     extra = set(spec) - allowed
     if extra:
         problems.append(f"{tag}: unknown keys for {name}: {sorted(extra)}")
-    for key in ("rank", "grad_batch_size", "hess_batch_size", "stage_length", "power_iters"):
-        auto = "" if key == "power_iters" else " or 'auto'"
-        value = spec.get(key, 1)
-        if not (auto and value == AUTO) and (not isinstance(value, int) or value < 1):
-            problems.append(f"{tag}: {key} must be a positive integer{auto}")
-    for key in ("rho", "lr_scale"):
-        auto = "" if key == "lr_scale" else " or 'auto'"
-        value = spec.get(key, 1)
-        if not (auto and value == AUTO) and not (_is_num(value) and value > 0):
-            problems.append(f"{tag}: {key} must be a positive number{auto}")
-    if "update_freq" in spec:
-        u = spec["update_freq"]
-        ok = u in (AUTO, "inf") or (
-            _is_num(u) and u >= 1 and (isinstance(u, int) or u == math.inf or u.is_integer())
-        )
-        if not ok:
-            problems.append(f"{tag}: update_freq must be an integer >= 1, 'inf', or 'auto'")
-    if "learning_rate" in spec and spec["learning_rate"] is not None:
-        lr = spec["learning_rate"]
-        if not (lr == AUTO or (_is_num(lr) and lr > 0)):
-            problems.append(f"{tag}: learning_rate must be a positive number or 'auto'")
+    settings = _settings({key: value for key, value in spec.items() if key in allowed})
+    problems.extend(f"{tag}: {problem}" for problem in settings_problems(settings))
     if "label" in spec and not isinstance(spec["label"], str):
         problems.append(f"{tag}: label must be a string")
+
+
+def _settings(spec: dict) -> dict:
+    """The OptimizerConfig fields an optimizer entry sets, with the mode and
+    default learning rate of the staged variant."""
+    settings = {key: value for key, value in spec.items() if key not in ("name", "label")}
+    if spec["name"] == "sketchysgd-theoretical":
+        settings = {"learning_rate": AUTO, **settings, "mode": "theoretical"}
+    return settings
 
 
 def validate_config(config: dict, base_dir: Path) -> list[str]:
@@ -260,8 +253,8 @@ def validate_config(config: dict, base_dir: Path) -> list[str]:
         _validate_preprocessing(config["preprocessing"], problems)
 
     l2 = config.get("l2", AUTO)
-    if not (l2 == AUTO or (_is_num(l2) and l2 >= 0)):
-        problems.append("l2: must be a nonnegative number or 'auto'")
+    if not (l2 == AUTO or (_is_num(l2) and 0 <= l2 < math.inf)):
+        problems.append("l2: must be a finite nonnegative number or 'auto'")
 
     optimizers = config.get("optimizers")
     if not isinstance(optimizers, list) or not optimizers:
@@ -279,14 +272,16 @@ def validate_config(config: dict, base_dir: Path) -> list[str]:
             )
 
     seeds = config.get("seeds")
-    if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
+    if not isinstance(seeds, list) or not seeds:
         problems.append("seeds: required nonempty list of integers")
+    elif bad := [f"seeds: {p}" for seed in seeds for p in settings_problems({"seed": seed})]:
+        problems.extend(bad)
     elif len(set(seeds)) < len(seeds):
         dup = sorted({s for s in seeds if seeds.count(s) > 1})
         problems.append(f"seeds: duplicate seeds {dup}; each seed names its own output files")
 
-    if "max_passes" in config and not (_is_num(config["max_passes"]) and config["max_passes"] > 0):
-        problems.append("max_passes: must be a positive number")
+    if "max_passes" in config:
+        problems.extend(settings_problems({"max_passes": config["max_passes"]}))
     if "eval_every" in config and not (_is_num(config["eval_every"]) and config["eval_every"] > 0):
         problems.append("eval_every: must be a positive number")
     if "output_dir" in config and not isinstance(config["output_dir"], str):
@@ -407,9 +402,8 @@ class Job:
     def resolved(self) -> dict:
         entry = {"name": self.name, "label": self.label, "seed": self.seed}
         cfg = self.config
-        if self.name in BASELINES:
-            entry.update(learning_rate=cfg.learning_rate, grad_batch_size=cfg.grad_batch_size,
-                         max_passes=cfg.max_passes)
+        if self.name in BASELINES:  # seed keeps its place
+            entry.update({key: getattr(cfg, key) for key in BASELINE_FIELDS})
         else:
             entry.update(asdict(cfg))
         # The staged runner records at every stage end, whatever eval_every is.
@@ -425,10 +419,8 @@ class Job:
         if self.name == "sketchysgd-theoretical":
             return sketchysgd_theoretical_run(oracle, cfg, test_data=test_data)
         return (sgd_run if self.name == "sgd" else svrg_run)(
-            oracle, learning_rate=cfg.learning_rate, grad_batch_size=cfg.grad_batch_size,
-            max_passes=cfg.max_passes, seed=cfg.seed, test_data=test_data,
-            eval_every=self.eval_every,
-        )
+            oracle, **{key: getattr(cfg, key) for key in BASELINE_FIELDS}, test_data=test_data,
+            eval_every=self.eval_every)
 
 
 def resolve_jobs(config: dict, oracle: ProblemOracle) -> list[Job]:
@@ -443,9 +435,7 @@ def resolve_jobs(config: dict, oracle: ProblemOracle) -> list[Job]:
     for i, spec in enumerate(config["optimizers"]):
         name = spec["name"]
         label = spec.get("label", name)
-        settings = {key: value for key, value in spec.items() if key not in ("name", "label")}
-        if name == "sketchysgd-theoretical":
-            settings = {"learning_rate": AUTO, **settings, "mode": "theoretical"}
+        settings = _settings(spec)
         resolve = resolve_baseline_config if name in BASELINES else resolve_config
         try:
             for seed in config["seeds"]:
@@ -495,18 +485,14 @@ def _load(args):
     except json.JSONDecodeError as exc:
         raise ConfigError([f"config: invalid JSON: {exc}"]) from exc
     base_dir = config_path.parent
+    if isinstance(config, dict):  # the overrides pass the same checks
+        for key, value in (("output_dir", args.output_dir), ("max_passes", args.max_passes),
+                           ("seeds", None if args.seed is None else [args.seed])):
+            if value is not None:
+                config[key] = value
     problems = validate_config(config, base_dir)
     if problems:
         raise ConfigError(problems)
-    config = dict(config)
-    if args.output_dir is not None:
-        config["output_dir"] = args.output_dir
-    if args.max_passes is not None:
-        if args.max_passes <= 0:
-            raise ConfigError(["--max-passes: must be positive"])
-        config["max_passes"] = args.max_passes
-    if args.seed is not None:
-        config["seeds"] = [args.seed]
     _check_output_dir(Path(config.get("output_dir", "results")))
     return (config, base_dir, *load_problem(config, base_dir))
 

@@ -157,9 +157,9 @@ def rand_nys_approx(
 
 
 def _check_rho(rho: float) -> float:
-    """``rho`` as a float; positive, and large enough that ``1/rho`` is finite."""
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    """``rho`` as a float; finite, positive, and large enough that ``1/rho`` is finite."""
+    if not 0 < rho < math.inf:
+        raise ValueError(f"rho must be positive and finite, got {rho}")
     rho = float(rho)
     if math.isinf(1.0 / rho):
         raise ValueError(f"rho {rho!r} is too small: its reciprocal overflows float64")

@@ -57,6 +57,7 @@ sweep (see :func:`estimate_learning_rate`), with
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -109,9 +110,8 @@ class OptimizerConfig:
     ``learning_rate`` is ``None`` (practical mode: re-estimated at every
     preconditioner refresh), a float (held fixed, no estimation cost), or
     ``"auto"`` in theoretical mode (estimated once per refresh, then fixed).
-    The SGD and SVRG baselines read only ``grad_batch_size``,
-    ``learning_rate``, ``max_passes`` and ``seed``; see
-    :func:`resolve_baseline_config`.
+    :func:`settings_problems` states what each field accepts, and
+    ``BASELINE_FIELDS`` which fields the SGD and SVRG baselines read.
     """
 
     rank: int | str = AUTO
@@ -159,98 +159,111 @@ class RunResult:
         return self.samples_touched / self.n
 
 
-def resolve_config(config: OptimizerConfig, oracle: ProblemOracle) -> OptimizerConfig:
-    """Materialize every ``"auto"`` field against a concrete problem."""
-    n = oracle.n
-    bg = _grad_batch_size(config.grad_batch_size, n)
-    bh = config.hess_batch_size
-    if bh == AUTO:
-        bh = max(1, min(n, int(math.floor(math.sqrt(n)))))
-    bh = _integral("hess_batch_size", bh)
-    rho = config.rho
-    if rho == AUTO:
-        rho = 1e-3 * oracle.smoothness_upper_bound
-    rho = float(rho)
-    u = config.update_freq
-    if u == AUTO:
-        u = math.inf if oracle.task == "ridge" else float(math.ceil(n / bg))
-    u = float(u)
-    m = config.stage_length
-    if m == AUTO:
-        m = int(math.ceil(n / bg))
-    m = _integral("stage_length", m)
+#: The fields of :class:`OptimizerConfig` that :func:`sgd_run` and
+#: :func:`svrg_run` read.
+BASELINE_FIELDS = ("learning_rate", "grad_batch_size", "max_passes", "seed")
 
-    resolved = replace(
+
+def _number(x) -> float:
+    """``x`` as a float if it is a number in float range other than a bool, else nan."""
+    try:
+        return float(x) if isinstance(x, numbers.Real) and not isinstance(x, bool) else math.nan
+    except OverflowError:
+        return math.nan
+
+
+def _count(x) -> bool:
+    """A whole number >= 1: 3 or 3.0, not 2.5, ``True`` or ``"3"``."""
+    return _number(x).is_integer() and x >= 1
+
+
+def _positive(x) -> bool:
+    return 0 < _number(x) < math.inf
+
+
+#: Per field, what a value must be and its test.  A field takes "auto" where
+#: its description offers it, so that the two cannot disagree.
+_RULES = {
+    **dict.fromkeys(("rank", "grad_batch_size", "hess_batch_size", "stage_length"),
+                    ("a positive integer or 'auto'", _count)),
+    "power_iters": ("a positive integer", _count),
+    "rho": ("a positive finite number or 'auto'", _positive),
+    **dict.fromkeys(("lr_scale", "max_passes"), ("a positive finite number", _positive)),
+    "update_freq": ("an integer >= 1, 'inf', or 'auto'",
+                    lambda x: x == "inf" or _number(x) == math.inf or _count(x)),
+    "learning_rate": ("a finite number >= 0, None, or 'auto'",
+                      lambda x: x is None or 0 <= _number(x) < math.inf),
+    "seed": ("an integer >= 0",
+             lambda x: isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= 0),
+    "mode": ("'practical' or 'theoretical'", lambda x: x in ("practical", "theoretical")),
+}
+
+
+def settings_problems(settings) -> list[str]:
+    """Every problem that does not depend on the data in ``settings``, which
+    maps some or all :class:`OptimizerConfig` fields to values (other keys
+    are ignored).  The resolvers raise the first; the CLI reports them all."""
+    problems = []
+    for key, value in settings.items():
+        what, test = _RULES.get(key, ("", None))
+        if test is None or test(value) or (value == AUTO and "'auto'" in what):
+            continue
+        if test is _count and value != AUTO and not _number(value).is_integer():
+            what = "a whole number"
+        # a rejected "auto" is not echoed, so that the line does not offer it
+        problems.append(f"{key} must be {what}" + ("" if value == AUTO else f", got {value!r}"))
+    if settings.get("mode") == "theoretical" and settings.get("learning_rate") is None:
+        problems.append("theoretical mode requires learning_rate (a float or 'auto')")
+    return problems
+
+
+def _fit(name: str, value, auto: int, limit: int) -> int:
+    """A checked count, or ``auto`` for "auto", as an int no larger than ``limit``."""
+    value = auto if value == AUTO else int(value)
+    if value > limit:
+        raise ValueError(f"{name} {value} must lie in [1, {limit}]")
+    return value
+
+
+def resolve_config(config: OptimizerConfig, oracle: ProblemOracle) -> OptimizerConfig:
+    """Materialize every ``"auto"`` field against a concrete problem.
+
+    Raises ``ValueError`` on the first of :func:`settings_problems`, then on
+    a rank above p, a batch size above n, or a ``rho`` whose reciprocal
+    overflows (an ``"auto"`` rho is 1e-3 times the data's smoothness bound).
+    """
+    for problem in settings_problems(vars(config)):
+        raise ValueError(problem)
+    n = oracle.n
+    bg = _fit("gradient batch size", config.grad_batch_size, min(256, n), n)
+    auto_u = math.inf if oracle.task == "ridge" else float(math.ceil(n / bg))
+    return replace(
         config,
-        rank=min(10, oracle.p) if config.rank == AUTO else _integral("rank", config.rank),
+        rank=_fit("rank", config.rank, min(10, oracle.p), oracle.p),
         grad_batch_size=bg,
-        hess_batch_size=bh,
-        rho=rho,
-        update_freq=u,
-        stage_length=m,
+        hess_batch_size=_fit("Hessian batch size", config.hess_batch_size,
+                             max(1, min(n, int(math.floor(math.sqrt(n))))), n),
+        rho=_check_rho(1e-3 * oracle.smoothness_upper_bound if config.rho == AUTO else config.rho),
+        update_freq=auto_u if config.update_freq == AUTO else float(config.update_freq),
+        power_iters=int(config.power_iters),
+        stage_length=math.ceil(n / bg) if config.stage_length == AUTO else int(config.stage_length),
     )
-    _validate_resolved(resolved, n, oracle.p)
-    return resolved
 
 
 def resolve_baseline_config(config: OptimizerConfig, oracle: ProblemOracle) -> OptimizerConfig:
-    """Materialize the fields the SGD and SVRG baselines read.
+    """Check and materialize ``BASELINE_FIELDS``, the fields SGD and SVRG read.
 
     ``grad_batch_size`` resolves as in :func:`resolve_config`.  A
     ``learning_rate`` of ``None`` or ``"auto"`` becomes
     ``max(1/(3L), 1/(2(L + n*l2)))`` with L the smoothness upper bound, the
     standard default for variance-reduced solvers at this loss family.
     """
+    for problem in settings_problems({key: getattr(config, key) for key in BASELINE_FIELDS}):
+        raise ValueError(problem)
     lr = config.learning_rate
     eta = oracle.sgd_default_learning_rate() if lr in (None, AUTO) else float(lr)
-    if not eta >= 0:
-        raise ValueError("learning rate must be nonnegative")
-    bg = _grad_batch_size(config.grad_batch_size, oracle.n)
+    bg = _fit("gradient batch size", config.grad_batch_size, min(256, oracle.n), oracle.n)
     return replace(config, grad_batch_size=bg, learning_rate=eta)
-
-
-def _integral(name: str, value) -> int:
-    """``value`` as an int if it is a whole number; never truncates."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"{name} must be a whole number, got {value!r}")
-
-
-def _grad_batch_size(value: int | str, n: int) -> int:
-    bg = min(256, n) if value == AUTO else _integral("grad_batch_size", value)
-    if not 1 <= bg <= n:
-        raise ValueError(f"gradient batch size {bg} must lie in [1, {n}]")
-    return bg
-
-
-def _validate_resolved(cfg: OptimizerConfig, n: int, p: int) -> None:
-    if not 1 <= cfg.rank <= p:
-        raise ValueError(f"rank {cfg.rank} must lie in [1, {p}]")
-    if not 1 <= cfg.hess_batch_size <= n:
-        raise ValueError(f"Hessian batch size {cfg.hess_batch_size} must lie in [1, {n}]")
-    if not cfg.rho > 0:
-        raise ValueError("rho must be positive after resolution")
-    _check_rho(cfg.rho)
-    if not cfg.lr_scale > 0:
-        raise ValueError("lr_scale must be positive")
-    if cfg.power_iters < 1:
-        raise ValueError("power_iters must be at least 1")
-    if not cfg.max_passes > 0:
-        raise ValueError("max_passes must be positive")
-    if not (cfg.update_freq >= 1 and (math.isinf(cfg.update_freq) or cfg.update_freq.is_integer())):
-        raise ValueError("update_freq must be an integer >= 1 or infinite")
-    if cfg.mode not in ("practical", "theoretical"):
-        raise ValueError(f"unknown mode {cfg.mode!r}")
-    if cfg.stage_length < 1:
-        raise ValueError("stage_length must be at least 1")
-    if cfg.mode == "theoretical" and cfg.learning_rate is None:
-        raise ValueError("theoretical mode requires learning_rate (a float or 'auto')")
-    if isinstance(cfg.learning_rate, str) and cfg.learning_rate != AUTO:
-        raise ValueError(f"learning_rate must be a number, None, or 'auto', got {cfg.learning_rate!r}")
-    if isinstance(cfg.learning_rate, (int, float)) and not cfg.learning_rate > 0:
-        raise ValueError("a fixed learning_rate must be positive")
 
 
 class _Recorder:

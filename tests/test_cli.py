@@ -1,6 +1,10 @@
 import hashlib
+import itertools
 import json
+import math
 import platform
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,7 +14,15 @@ from sketchysgd import cli
 from sketchysgd.cli import file_sha256, main, records_to_csv, validate_config
 from sketchysgd.data import load_libsvm, save_libsvm, split
 from sketchysgd.nystrom import SketchNotPsdError
-from sketchysgd.optimizers import LearningRateError, MetricsRecord
+from sketchysgd.optimizers import (
+    AUTO,
+    BASELINE_FIELDS,
+    LearningRateError,
+    MetricsRecord,
+    OptimizerConfig,
+    resolve_baseline_config,
+    resolve_config,
+)
 from sketchysgd.synthetic import gaussian_dataset, planted_least_squares
 
 
@@ -531,6 +543,14 @@ def tiny_rho(tmp_path, config):
         "its reciprocal overflows float64\n")
 
 
+def overflowing_rho(tmp_path, config):
+    # the squared row norms overflow, so the smoothness bound and the "auto"
+    # rho = 1e-3 L are infinite
+    (tmp_path / "huge.svm").write_text("".join(f"{i % 3} 1:{1e200 * (i + 1)}\n" for i in range(40)))
+    return dict(config, dataset={"path": "huge.svm"}, optimizers=[{"name": "sketchysgd"}]), [], (
+        "config error: optimizers[0] (sketchysgd): rho must be positive and finite, got inf\n")
+
+
 def output_dir_is_a_file(tmp_path, config):
     (tmp_path / "taken").write_text("keep")
     return config, ["--output-dir", str(tmp_path / "taken")], (
@@ -544,7 +564,7 @@ def output_dir_under_a_file(tmp_path, config):
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
-@pytest.mark.parametrize("case", [bad_labels, tiny_rho, output_dir_is_a_file,
+@pytest.mark.parametrize("case", [bad_labels, tiny_rho, overflowing_rho, output_dir_is_a_file,
                                   output_dir_under_a_file])
 def test_data_dependent_mistakes_exit_2_with_one_line(workspace, capsys, command, case):
     tmp_path, _, config = workspace
@@ -572,3 +592,68 @@ def test_a_bad_label_in_the_test_split_only_is_a_config_error(tmp_path, capsys, 
     assert capsys.readouterr().err == (
         "config error: dataset: logistic labels must be -1 or +1, found 2.0\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize(
+    "setting, flags, reason",
+    [
+        ({"max_passes": math.inf}, [], "max_passes must be a positive finite number, got inf"),
+        ({}, ["--max-passes", "inf"], "max_passes must be a positive finite number, got inf"),
+        ({}, ["--max-passes", "0"], "max_passes must be a positive finite number, got 0.0"),
+        ({"seeds": [-1]}, [], "seeds: seed must be an integer >= 0, got -1"),
+        ({}, ["--seed", "-1"], "seeds: seed must be an integer >= 0, got -1"),
+        ({"l2": math.inf}, [], "l2: must be a finite nonnegative number or 'auto'"),
+    ],
+    ids=["infinite-max_passes", "infinite-max-passes-flag", "zero-max-passes-flag",
+         "negative-seed", "negative-seed-flag", "infinite-l2"],
+)
+def test_bad_run_wide_settings_exit_2_with_one_line(workspace, capsys, command, setting, flags,
+                                                    reason):
+    tmp_path, _, config = workspace
+    cfg_path = write_config(tmp_path, dict(config, **setting), "case.json")
+    before = sorted(tmp_path.rglob("*"))
+    assert main([command, str(cfg_path), *flags]) == 2
+    assert capsys.readouterr().err == f"config error: {reason}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+HOSTILE = [True, None, "x", "auto", [], 0, -1, 0.5, 3.0, math.inf, math.nan, 1e-320, 1e308]
+# the checks that only the loaded data can make
+DATA_DEPENDENT = re.compile(r"(rank|gradient batch size|Hessian batch size) \d+ must lie in "
+                            r"\[1, \d+\]$|rho .* is too small: its reciprocal overflows float64$")
+
+
+def test_cli_and_library_agree_on_every_setting(narrow, capsys):
+    tmp_path, config = narrow
+    oracle = cli.load_problem(config, tmp_path)[0]
+    for name in cli.OPTIMIZER_NAMES:
+        baseline = name in cli.BASELINES
+        keys = BASELINE_FIELDS if baseline else [f.name for f in fields(OptimizerConfig)
+                                                 if f.name != "mode"]
+        for key, value in itertools.product(keys, HOSTILE):
+            where = f"{name}: {key} = {value!r}"
+            # max_passes and the seeds are run-wide in a config
+            if key == "max_passes":
+                case = dict(config, optimizers=[{"name": name}], max_passes=value)
+            elif key == "seed":
+                case = dict(config, optimizers=[{"name": name}], seeds=[value])
+            else:
+                case = dict(config, optimizers=[{"name": name, key: value}])
+            problems = validate_config(case, tmp_path)
+            settings = {key: value}
+            if name == "sketchysgd-theoretical":
+                settings = {"learning_rate": AUTO, **settings, "mode": "theoretical"}
+            resolve = resolve_baseline_config if baseline else resolve_config
+            try:
+                resolve(OptimizerConfig(**settings), oracle)
+                error = None
+            except ValueError as exc:
+                error = str(exc)
+            if problems:
+                assert error is not None, where
+            else:
+                assert error is None or DATA_DEPENDENT.match(error), (where, error)
+            code = main(["validate", str(write_config(tmp_path, case))])
+            assert code == (2 if problems or error else 0), where
+            assert "Traceback" not in capsys.readouterr().err

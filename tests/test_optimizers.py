@@ -90,6 +90,21 @@ def test_resolve_config_validation():
     for run in (sgd_run, svrg_run):
         with pytest.raises(ValueError, match="gradient batch size 51"):
             run(oracle, grad_batch_size=51)
+        # settings that would end the run at once, or fail inside it
+        for bad in ({"max_passes": -1}, {"max_passes": 0}, {"max_passes": math.nan},
+                    {"max_passes": math.inf}, {"max_passes": "x"}, {"seed": -1}, {"seed": 1.5},
+                    {"learning_rate": math.inf}, {"learning_rate": -1.0}):
+            with pytest.raises(ValueError, match=f"{next(iter(bad))} must be"):
+                run(oracle, **bad)
+    # settings that used to pass and then fail or diverge inside a run
+    for key, value in (("power_iters", 2.5), ("power_iters", True), ("lr_scale", True),
+                       ("lr_scale", "x"), ("max_passes", "x"), ("rho", math.inf),
+                       ("lr_scale", math.inf), ("learning_rate", math.inf), ("seed", -1)):
+        with pytest.raises(ValueError, match=f"{key} must be"):
+            resolve_config(OptimizerConfig(**{key: value}), oracle)
+    # integral floats count for every count, and a zero step size is allowed
+    whole = resolve_config(OptimizerConfig(power_iters=3.0, learning_rate=0), oracle)
+    assert type(whole.power_iters) is int and whole.learning_rate == 0
     # and "auto" fits them
     auto = resolve_config(OptimizerConfig(rank=AUTO, grad_batch_size=AUTO), oracle)
     assert (auto.rank, auto.grad_batch_size) == (5, 50)
