@@ -7,21 +7,18 @@ Three subcommands share one JSON config document::
     sketchysgd validate config.json  # schema check, print the resolved config
 
 Exit codes: 0 ok, 2 config or data error (including a malformed libsvm
-line, a feature index above 2^63 - 1, a non-finite label or value, a
-repeated seed, a logistic label other than +-1 in either split, a ``rho``
-whose reciprocal overflows float64, and an output directory that names an
-existing file; each is one ``config error: ...`` line), 3 runtime or
-divergence error, 4 dense diagnostic caps exceeded.  A ``run`` job that
-diverges or whose sketch or step-size powering fails does not stop the
-others: the manifest is still written, and gives each job a ``status``
-(``ok``, ``diverged`` with its records in ``<file>.csv.partial``, or
-``failed`` with no file) and a one-line ``message``; the exit code is then
-3.  The ``SKETCHYSGD_NUM_THREADS`` environment variable sizes the thread
-pool that runs independent (optimizer, seed) jobs; each job owns its
-generator and writes its own files, so results do not depend on the pool
-size.  Unset or empty, it means 1; ``validate`` and ``run`` check it before
-reading any data, and any other value but a positive integer is a config
-error.
+line, a feature index above 2^63 - 1, a non-finite label or value, a data
+file with no samples or no features, a repeated seed, a logistic label
+other than +-1 in either split, a ``rho`` whose reciprocal overflows
+float64, an ``"auto"`` ``rho`` or step size on a zero or infinite
+smoothness bound, and an output directory that names an existing file;
+each is one ``config error: ...`` line), 3 runtime or divergence error, 4
+dense diagnostic caps exceeded.  Jobs run one after another, in the order
+of the manifest.  A ``run`` job that diverges or whose sketch or step-size
+powering fails does not stop the others: the manifest is still written,
+and gives each job a ``status`` (``ok``, ``diverged`` with its records in
+``<file>.csv.partial``, or ``failed`` with no file) and a one-line
+``message``; the exit code is then 3.
 
 Config schema (JSON object)::
 
@@ -69,7 +66,6 @@ runs of one config differ only in the ``wall_seconds`` column.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import math
@@ -358,6 +354,9 @@ def load_problem(config: dict, base_dir: Path):
     spec = config["dataset"]
     path = (base_dir / spec["path"]).expanduser()
     ds = load_libsvm(path, num_features=spec.get("num_features"))
+    for count, what in ((ds.n, "samples"), (ds.p, "features")):
+        if count == 0:
+            raise ConfigError([f"dataset: {path} holds no {what}"])
     train, test = _apply_preprocessing(ds, config.get("preprocessing", []))
     l2 = config.get("l2", AUTO)
     if l2 == AUTO:
@@ -506,19 +505,7 @@ def _check_output_dir(out_dir: Path) -> None:
             return
 
 
-def job_threads() -> int:
-    """The job pool size from ``SKETCHYSGD_NUM_THREADS``; 1 if unset or empty."""
-    value = os.environ.get("SKETCHYSGD_NUM_THREADS", "")
-    digits = value.strip()
-    if not digits:
-        return 1
-    if not (digits.isascii() and digits.isdigit() and int(digits) >= 1):
-        raise ConfigError([f"SKETCHYSGD_NUM_THREADS must be a positive integer, got {value!r}"])
-    return int(digits)
-
-
 def cmd_validate(args) -> int:
-    job_threads()
     config, _base_dir, oracle, test, _path = _load(args)
     jobs = resolve_jobs(config, oracle)
     resolved = {
@@ -540,12 +527,7 @@ def cmd_validate(args) -> int:
 
 # Results change in the last bits with the BLAS thread count, so the
 # manifest records these next to the library versions.
-THREAD_VARIABLES = (
-    "OPENBLAS_NUM_THREADS",
-    "OMP_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "SKETCHYSGD_NUM_THREADS",
-)
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def file_sha256(path) -> str:
@@ -576,7 +558,6 @@ def environment() -> dict:
 
 
 def cmd_run(args) -> int:
-    workers = job_threads()
     config, _base_dir, oracle, test, dataset_path = _load(args)
     jobs = resolve_jobs(config, oracle)
     out_dir = Path(config.get("output_dir", "results"))
@@ -598,11 +579,7 @@ def cmd_run(args) -> int:
             np.save(out_dir / f"{name}_iterate.npy", result.w)
         return result, f"{name}.csv", "ok", None
 
-    if workers > 1 and len(jobs) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(execute, jobs))
-    else:
-        outcomes = [execute(job) for job in jobs]
+    outcomes = [execute(job) for job in jobs]
 
     manifest = {
         "package_version": __version__,

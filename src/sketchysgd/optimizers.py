@@ -21,9 +21,12 @@ from wall-clock fields.
 
 Every run draws its minibatches a block at a time: up to ``_BLOCK_ROWS``
 rows' worth in one :func:`sample_batch` call, never past the next refresh
-(or snapshot) or the last step, so the draws of a refresh stay between
-blocks.  Dense data and CSR data, factored and materialized steps, draw
-the same blocks.
+(for SVRG, the next snapshot) or the last step, so the draws of a refresh
+stay between blocks.  Dense data and CSR data, factored and materialized
+steps, draw the same blocks.
+
+Every step goes through an iterate object (see :func:`_drive`); the one
+of dense data, :class:`_DenseIterate`, takes the materialized step.
 
 On CSR data every runner takes a factored step: between two refreshes
 the preconditioner is fixed, so the iterate is kept as
@@ -41,8 +44,7 @@ stage end.  A block's rows are gathered once; the extra memory is
 O(nnz(block)).  The iterate itself is built, in O(p + |S| r), only at a
 refresh, a snapshot, an evaluation, a stage end and the end of the run.
 It is the same step as the materialized one, rounded differently (a
-relative difference around 1e-15 on the losses).  Dense data takes the
-materialized step.
+relative difference around 1e-15 on the losses).
 
 A refresh gathers its Hessian batch once as a factor ``C`` with
 ``H_S = C' C``.  On CSR data the Nystrom build runs on the batch's column
@@ -256,14 +258,19 @@ def resolve_baseline_config(config: OptimizerConfig, oracle: ProblemOracle) -> O
     ``grad_batch_size`` resolves as in :func:`resolve_config`.  A
     ``learning_rate`` of ``None`` or ``"auto"`` becomes
     ``max(1/(3L), 1/(2(L + n*l2)))`` with L the smoothness upper bound, the
-    standard default for variance-reduced solvers at this loss family.
+    standard default for variance-reduced solvers at this loss family (for L
+    positive and finite only).
     """
     for problem in settings_problems({key: getattr(config, key) for key in BASELINE_FIELDS}):
         raise ValueError(problem)
-    lr = config.learning_rate
-    eta = oracle.sgd_default_learning_rate() if lr in (None, AUTO) else float(lr)
+    eta = config.learning_rate
+    if eta in (None, AUTO):
+        if not 0 < oracle.smoothness_upper_bound < math.inf:
+            raise ValueError("learning_rate 'auto' needs a positive finite smoothness bound, "
+                             f"got {oracle.smoothness_upper_bound}")
+        eta = oracle.sgd_default_learning_rate()
     bg = _fit("gradient batch size", config.grad_batch_size, min(256, oracle.n), oracle.n)
-    return replace(config, grad_batch_size=bg, learning_rate=eta)
+    return replace(config, grad_batch_size=bg, learning_rate=float(eta))
 
 
 class _Recorder:
@@ -284,7 +291,7 @@ class _Recorder:
         self.records: list[MetricsRecord] = []
         self._next = 0.0
 
-    def _evaluate(self, w: np.ndarray, passes: float, wall: float, iteration: int) -> None:
+    def record(self, w: np.ndarray, passes: float, wall: float, iteration: int) -> None:
         # One margin product per split, shared by that split's metrics.
         z = self.oracle.margins(w)
         train_loss = self.oracle.full_loss(w, margins=z)
@@ -305,13 +312,9 @@ class _Recorder:
     def due(self, passes: float) -> bool:
         return passes >= self._next
 
-    def maybe_record(self, w, passes: float, wall: float, iteration: int) -> None:
-        if self.due(passes):
-            self._evaluate(w, passes, wall, iteration)
-
     def finalize(self, w, passes: float, wall: float, iteration: int) -> None:
         if not self.records or passes > self.records[-1].passes:
-            self._evaluate(w, passes, wall, iteration)
+            self.record(w, passes, wall, iteration)
 
 
 def preconditioned_top_eigenvalue(
@@ -485,9 +488,9 @@ class _FactoredIterate:
     ``rho = 1`` (``P = I``): the classic scaled, lazily regularized sparse
     step.
 
-    SVRG is that SGD step (``P = I`` only) given the ``full_gradient`` mu
-    at the start point, which becomes the snapshot ``w_snap``.  With the drift
-    ``d = mu - l2 w_snap``, fixed until the next snapshot, its step
+    SVRG is that SGD step (``P = I``, no stage sum) given the ``snapshot``
+    ``(w_snap, mu)``, mu the full gradient at the start ``w_snap``.  With
+    the drift ``d = mu - l2 w_snap``, fixed until the next snapshot, its step
     ``w <- w - eta (g_B(w) - g_B(w_snap) + mu)`` is
     ``beta w - eta d - (eta / b) X_B' (slope(X_B w) - slope(X_B w_snap))``,
     so the iterate is kept as ``alpha * w_tilde + c d`` with
@@ -531,7 +534,7 @@ class _FactoredIterate:
 
     def __init__(self, w: np.ndarray, nys: NystromApprox, rho: float, eta: float,
                  oracle: ProblemOracle, stage_sum: np.ndarray | None = None,
-                 full_gradient: np.ndarray | None = None):
+                 snapshot: tuple[np.ndarray, np.ndarray] | None = None):
         self.oracle = oracle
         self.support = np.arange(oracle.p) if nys.support is None else nys.support
         size = self.support.size
@@ -543,11 +546,11 @@ class _FactoredIterate:
         self.eta, self.l2, self.step_over_rho = eta, oracle.l2, eta / rho
         self.beta = 1.0 - eta * oracle.l2 / rho
         self.averaging = stage_sum is not None
-        if full_gradient is not None and self.gain.size:
-            raise NotImplementedError("the factored SVRG step takes P = I only")
+        if snapshot is not None and (self.gain.size or self.averaging):
+            raise NotImplementedError("the factored SVRG step takes P = I and no averaging")
         # SVRG: the columns [w_snap, d], C-ordered for one product per block
-        self.anchor = None if full_gradient is None else np.column_stack(
-            [w, full_gradient - oracle.l2 * w])
+        self.anchor = None if snapshot is None else np.column_stack(
+            [snapshot[0], snapshot[1] - oracle.l2 * snapshot[0]])
         self.restart(w, stage_sum)
 
     def restart(self, w: np.ndarray, stage_sum: np.ndarray | None) -> None:
@@ -650,6 +653,44 @@ class _FactoredIterate:
         return out
 
 
+class _DenseIterate:
+    """The materialized step ``w <- w - eta P^{-1} g``, in O(b p + p r), behind
+    the interface of :class:`_FactoredIterate`: ``P = I`` at rank zero, ``g``
+    SVRG-corrected given a ``snapshot``, and a step adds ``w`` to the stage
+    sum in place."""
+
+    def __init__(self, w: np.ndarray, nys: NystromApprox, rho: float, eta: float,
+                 oracle: ProblemOracle, stage_sum: np.ndarray | None = None,
+                 snapshot: tuple[np.ndarray, np.ndarray] | None = None):
+        self.nys, self.rho, self.eta, self.oracle, self.snapshot = nys, rho, eta, oracle, snapshot
+        self.restart(w, stage_sum)
+
+    def restart(self, w: np.ndarray, stage_sum: np.ndarray | None) -> None:
+        self.w, self.sum = w, stage_sum
+
+    def load(self, batches: np.ndarray) -> None:
+        self.batches = batches
+
+    def step(self, j: int) -> bool:
+        """One step on the ``j``-th loaded minibatch; False if w is no longer finite."""
+        batch = self.batches[j]
+        grad = self.oracle.minibatch_gradient(self.w, batch)
+        if self.snapshot is not None:
+            w_snap, mu = self.snapshot
+            grad = grad - self.oracle.minibatch_gradient(w_snap, batch) + mu
+        self.w = self.w - self.eta * (precond_solve(self.nys, self.rho, grad)
+                                      if self.nys.rank else grad)
+        if self.sum is not None:
+            self.sum += self.w
+        return bool(np.isfinite(self.w).all())
+
+    def iterate(self) -> np.ndarray:
+        return self.w
+
+    def stage_sum(self) -> np.ndarray:
+        return self.sum
+
+
 def _block_steps(cfg: OptimizerConfig, update_freq: float, k: int, touched: int, n: int) -> int:
     """Minibatches a run draws at once before step ``k + 1``: the loop
     takes them all, with no refresh between them, unless it diverges.
@@ -685,36 +726,32 @@ def _drive(
 
     ``cfg`` is resolved.  Steps run until the samples touched reach
     ``max_passes`` passes; the last stage of an averaged run may be cut
-    short.  The iterate is checked for finiteness and offered to the
-    recorder after every step, or after every stage when averaging.  Wall
-    time covers the optimization work only.  Every run on CSR data steps
-    through :class:`_FactoredIterate` unless ``factor_sparse_steps`` is
-    False: SGD with the rank-zero preconditioner and ``rho = 1``, SVRG as
-    SGD plus the snapshot's drift, restarted at every snapshot, in
-    O(nnz(batch)) per step and one full gradient per snapshot, and an
-    averaged run adding each step to the stage sum in O(nnz(batch)) and
-    forming the average in O(p + |S| r) at a stage end.  Both paths draw
-    the same blocks of minibatches.  Divergence is detected explicitly
+    short.  Every step goes through an iterate object (``load`` a block,
+    ``step``, build the ``iterate``, ``restart``, ``stage_sum``), built at the
+    first step and at every refresh and snapshot: a :class:`_FactoredIterate`
+    on CSR data unless ``factor_sparse_steps`` is False, else a
+    :class:`_DenseIterate`.  A step reports a non-finite iterate, as does the
+    check at a refresh, snapshot, stage end or record
     (:class:`DivergenceError`), so the arithmetic runs with overflow and
-    invalid-value warnings off.
+    invalid-value warnings off.  Wall time covers the optimization work only.
     """
     n, bg = oracle.n, cfg.grad_batch_size
     rng = make_rng(cfg.seed)
     w = np.zeros(oracle.p) if w0 is None else np.array(w0, dtype=np.float64)
     recorder = _Recorder(oracle, test_data, eval_every)
     recorder.finalize(w, 0.0, 0.0, 0)
-    record = recorder.finalize if average else recorder.maybe_record
 
     factored = factor_sparse_steps and oracle.data.is_sparse
+    iterate_class = _FactoredIterate if factored else _DenseIterate
     epoch = math.ceil(n / bg)
     # SGD and SVRG are the preconditioned step with P = I, never refreshed;
-    # an SVRG snapshot restarts a factored iterate as a refresh would
+    # an SVRG snapshot restarts the iterate as a refresh would
     nys, rho = (None, cfg.rho) if precondition else (NystromApprox.rank_zero(oracle.p), 1.0)
     update_freq = cfg.update_freq if precondition else (epoch if svrg else math.inf)
     eta = cfg.learning_rate if isinstance(cfg.learning_rate, (int, float)) else None
     estimate = precondition and eta is None
     stage_sum, produced = np.zeros(oracle.p) if average else None, 0
-    state = None
+    state = anchor = None
     # the minibatches drawn at once, of which the first ``taken`` are stepped on
     block, taken = [], 0
     # Sample rows touched, kept as an integer so that the passes equal the
@@ -724,28 +761,26 @@ def _drive(
     while touched / n < cfg.max_passes:
         tic = time.perf_counter()
         snapshot = svrg and k % epoch == 0
-        if snapshot:
-            if state is not None:
-                w = state.iterate()
-                if not np.all(np.isfinite(w)):
-                    raise DivergenceError(k, recorder.records)
-            w_snap = w.copy()
-            mu = oracle.minibatch_gradient(w_snap, np.arange(n, dtype=np.int64))
-            touched += n
-            snapshots += 1
-            wall += time.perf_counter() - tic
-            recorder.maybe_record(w, touched / n, wall, k)
-            if touched / n >= cfg.max_passes:
-                break
-            tic = time.perf_counter()
         refresh = precondition and (
             k == 0 or (math.isfinite(update_freq) and k % int(update_freq) == 0)
         )
+        if state is not None and (snapshot or refresh):
+            w = state.iterate()
+            if average:
+                stage_sum = state.stage_sum()
+            if not np.all(np.isfinite(w)):
+                raise DivergenceError(k, recorder.records)
+        if snapshot:
+            anchor = (w.copy(), oracle.minibatch_gradient(w, np.arange(n, dtype=np.int64)))
+            touched += n
+            snapshots += 1
+            wall += time.perf_counter() - tic
+            if recorder.due(touched / n):
+                recorder.record(w, touched / n, wall, k)
+            if touched / n >= cfg.max_passes:
+                break
+            tic = time.perf_counter()
         if refresh:
-            if state is not None:
-                w = state.iterate()
-                if average:
-                    stage_sum = state.stage_sum()
             nys = sketch_hessian(oracle, cfg, w, rng)
             touched += cfg.rank * cfg.hess_batch_size
             updates += 1
@@ -756,51 +791,38 @@ def _drive(
                 )
                 touched += cfg.power_iters * cfg.hess_batch_size
                 lr_estimates += 1
-        if factored and (refresh or snapshot or state is None):
-            state = _FactoredIterate(w, nys, rho, eta, oracle, stage_sum, mu if svrg else None)
+        if state is None or snapshot or refresh:
+            state = iterate_class(w, nys, rho, eta, oracle, stage_sum, anchor)
+            # _block_steps ends a block at every refresh (for SVRG, every
+            # snapshot), so that no block comes between a refresh's draws; a
+            # snapshot of a preconditioned SVRG run may fall inside one
+            if taken < len(block):
+                state.load(block)
         if taken == len(block):
-            # _block_steps ends a block at the next refresh, and for a
-            # factored run at the next snapshot too, so a block never comes
-            # between a refresh's draws and a factored iterate loads every
-            # block it steps on.
             block, taken = sample_batch(
                 rng, n, bg, count=_block_steps(cfg, update_freq, k, touched, n)), 0
-            if state is not None:
-                state.load(block)
-        batch, taken = block[taken], taken + 1
+            state.load(block)
+        taken += 1
         touched += bg
         k += 1
-        if state is not None:
-            if not state.step(taken - 1):
-                raise DivergenceError(k, recorder.records)
-        else:
-            grad = oracle.minibatch_gradient(w, batch)
-            if svrg:
-                grad = grad - oracle.minibatch_gradient(w_snap, batch) + mu
-            w = w - eta * (precond_solve(nys, cfg.rho, grad) if precondition else grad)
-            if average:
-                stage_sum += w
+        if not state.step(taken - 1):
+            raise DivergenceError(k, recorder.records)
         if average:
             produced += 1
-            if produced < cfg.stage_length and touched / n < cfg.max_passes:
-                wall += time.perf_counter() - tic
-                continue
-            w = (stage_sum if state is None else state.stage_sum()) / produced
-            stage_sum, produced = np.zeros(oracle.p), 0
-            if state is not None:
+            due = produced >= cfg.stage_length or touched / n >= cfg.max_passes
+            if due:
+                w = state.stage_sum() / produced
+                stage_sum, produced = np.zeros(oracle.p), 0
                 state.restart(w, stage_sum)
-        elif state is not None:
+        else:
             due = recorder.due(touched / n)
             if due:
                 w = state.iterate()
-            wall += time.perf_counter() - tic
-            if due:
-                recorder.maybe_record(w, touched / n, wall, k)
-            continue
         wall += time.perf_counter() - tic
-        if not np.all(np.isfinite(w)):
-            raise DivergenceError(k, recorder.records)
-        record(w, touched / n, wall, k)
+        if due:
+            if not np.all(np.isfinite(w)):
+                raise DivergenceError(k, recorder.records)
+            recorder.record(w, touched / n, wall, k)
     if state is not None:
         tic = time.perf_counter()
         w = state.iterate()

@@ -81,7 +81,7 @@ def test_manifest_records_digest_versions_and_threads(workspace, monkeypatch):
     assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
     assert env["threads"]["OPENBLAS_NUM_THREADS"] == "1"
     assert env["threads"]["MKL_NUM_THREADS"] is None
-    assert set(env["threads"]) >= {"OMP_NUM_THREADS", "SKETCHYSGD_NUM_THREADS"}
+    assert "OMP_NUM_THREADS" in env["threads"]
     builds = np.show_config(mode="dicts")["Build Dependencies"]
     for lib in ("blas", "lapack"):
         assert env[lib]["name"] == builds[lib]["name"]
@@ -346,40 +346,6 @@ def test_records_to_csv_empty_cells_for_ridge():
     assert text.splitlines()[1] == "0.0,0.0,0.5,,,"
 
 
-def test_thread_pool_matches_sequential(workspace, tmp_path, monkeypatch):
-    _, cfg_path, _ = workspace
-    assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "seq")]) == 0
-    monkeypatch.setenv("SKETCHYSGD_NUM_THREADS", "4")
-    assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "par")]) == 0
-    for name in ("sketchysgd_seed0.csv", "sgd_seed1.csv"):
-        rows_s = (tmp_path / "seq" / name).read_text().splitlines()
-        rows_p = (tmp_path / "par" / name).read_text().splitlines()
-        for rs, rp in zip(rows_s[1:], rows_p[1:]):
-            cs, cp = rs.split(","), rp.split(",")
-            assert cs[:1] == cp[:1] and cs[2:] == cp[2:]
-
-
-@pytest.mark.parametrize("command", ["validate", "run"])
-@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", "４"])
-def test_bad_job_thread_count_exits_2_before_reading_data(workspace, monkeypatch, capsys, command,
-                                                          value):
-    tmp_path, cfg_path, _ = workspace
-    monkeypatch.setenv("SKETCHYSGD_NUM_THREADS", value)
-    monkeypatch.setattr(cli, "load_problem", None)  # never reached
-    assert main([command, str(cfg_path)]) == 2
-    assert capsys.readouterr().err == (
-        f"config error: SKETCHYSGD_NUM_THREADS must be a positive integer, got {value!r}\n")
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("value, threads", [("", 1), (" 3 ", 3), ("1", 1)])
-def test_job_thread_count_unset_or_empty_means_one(monkeypatch, value, threads):
-    monkeypatch.setenv("SKETCHYSGD_NUM_THREADS", value)
-    assert cli.job_threads() == threads
-    monkeypatch.delenv("SKETCHYSGD_NUM_THREADS")
-    assert cli.job_threads() == 1
-
-
 def test_theoretical_optimizer_and_inf_update_freq(workspace, tmp_path):
     wp, _, config = workspace
     config = dict(config)
@@ -551,6 +517,27 @@ def overflowing_rho(tmp_path, config):
         "config error: optimizers[0] (sketchysgd): rho must be positive and finite, got inf\n")
 
 
+def empty_file(tmp_path, config):
+    (tmp_path / "empty.svm").write_text("")
+    return dict(config, dataset={"path": "empty.svm"}), [], (
+        f"config error: dataset: {tmp_path / 'empty.svm'} holds no samples\n")
+
+
+def labels_only(tmp_path, config):
+    # "auto" would resolve the rank to min(10, p) = 0
+    (tmp_path / "labels.svm").write_text("1\n-1\n1\n")
+    return dict(config, dataset={"path": "labels.svm"}), [], (
+        f"config error: dataset: {tmp_path / 'labels.svm'} holds no features\n")
+
+
+def zero_smoothness_bound(tmp_path, config):
+    # explicit zeros and no l2: the "auto" step size max(1/(3L), ...) has L = 0
+    (tmp_path / "zeros.svm").write_text("1 1:0\n-1 1:0\n1 1:0\n")
+    return dict(config, dataset={"path": "zeros.svm"}, optimizers=[{"name": "sgd"}]), [], (
+        "config error: optimizers[0] (sgd): learning_rate 'auto' needs a positive finite "
+        "smoothness bound, got 0.0\n")
+
+
 def output_dir_is_a_file(tmp_path, config):
     (tmp_path / "taken").write_text("keep")
     return config, ["--output-dir", str(tmp_path / "taken")], (
@@ -564,7 +551,8 @@ def output_dir_under_a_file(tmp_path, config):
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
-@pytest.mark.parametrize("case", [bad_labels, tiny_rho, overflowing_rho, output_dir_is_a_file,
+@pytest.mark.parametrize("case", [bad_labels, tiny_rho, overflowing_rho, empty_file, labels_only,
+                                  zero_smoothness_bound, output_dir_is_a_file,
                                   output_dir_under_a_file])
 def test_data_dependent_mistakes_exit_2_with_one_line(workspace, capsys, command, case):
     tmp_path, _, config = workspace

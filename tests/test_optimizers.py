@@ -751,6 +751,51 @@ def test_prefetched_batches_are_the_batches_of_the_materialized_loop(monkeypatch
         assert loads[-1] < block
 
 
+@pytest.mark.parametrize("data, flags, factored", [
+    ("dense", dict(precondition=True), True),
+    ("dense", dict(precondition=True, average=True), True),
+    ("dense", dict(svrg=True), True),
+    # the epoch of 19 steps is no multiple of the 4 between refreshes, which
+    # alone end a block here, so most snapshots fall inside a block (and the
+    # run ends between two snapshots, with no block drawn past its end)
+    ("dense", dict(precondition=True, svrg=True), True),
+    ("csr", dict(precondition=True, svrg=True), False),
+    ("csr", dict(precondition=True), True),
+    ("csr", dict(precondition=True, average=True), True),
+    ("csr", dict(), True),
+    ("csr", dict(svrg=True), True),
+])
+def test_every_drawn_minibatch_is_stepped_on_once_in_order(monkeypatch, data, flags, factored):
+    if data == "dense":
+        oracle = ProblemOracle(gaussian_dataset(300, 8, "logistic", seed=30), "logistic", 1e-2)
+    else:
+        oracle = csr_oracle("logistic", 1e-2, n=300, seed=30)
+    cfg = resolve_config(OptimizerConfig(rank=3, grad_batch_size=16, hess_batch_size=10,
+                                         update_freq=4, learning_rate=0.05, stage_length=3,
+                                         max_passes=6.5, seed=31), oracle)
+    drawn, stepped, loads = [], [], []
+    draw = optimizers.sample_batch
+    monkeypatch.setattr(optimizers, "sample_batch", lambda rng, n, b, count=None: (
+        draw(rng, n, b, count) if count is None else drawn.append(draw(rng, n, b, count))
+        or drawn[-1]))
+    for cls in (optimizers._DenseIterate, optimizers._FactoredIterate):
+        def load(self, batches, load=cls.load):
+            loads.append(batches)
+            self.held = batches
+            load(self, batches)
+
+        monkeypatch.setattr(cls, "load", load)
+        monkeypatch.setattr(cls, "step", lambda self, j, step=cls.step:
+                            stepped.append(self.held[j]) or step(self, j))
+    res = optimizers._drive(oracle, cfg, None, 0.5, None, factor_sparse_steps=factored, **flags)
+    assert len(stepped) == res.iterations
+    np.testing.assert_array_equal(np.concatenate(drawn), stepped)
+    if flags == dict(precondition=True, svrg=True):
+        assert res.snapshots >= 2 and len(loads) > len(drawn)  # a block was loaded again
+    else:
+        assert len(loads) == len(drawn)
+
+
 def preconditioned_run(runner, oracle):
     """A SketchySGD or staged run on ``oracle`` with a few refreshes."""
     base = dict(rank=6, hess_batch_size=20, grad_batch_size=32, update_freq=10, max_passes=5.0,
@@ -920,6 +965,9 @@ def test_factored_svrg_refuses_a_nystrom_preconditioner():
     res = optimizers._drive(oracle, cfg, None, 1.0, None, precondition=True, svrg=True,
                             factor_sparse_steps=False)
     assert res.snapshots >= 1 and np.isfinite(res.w).all()
+    # nor does it keep a stage sum, which would miss the drift
+    with pytest.raises(NotImplementedError):
+        optimizers._drive(oracle, cfg, None, 1.0, None, svrg=True, average=True)
 
 
 def split_csr_logistic():
