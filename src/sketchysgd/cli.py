@@ -357,7 +357,10 @@ def load_problem(config: dict, base_dir: Path):
     for count, what in ((ds.n, "samples"), (ds.p, "features")):
         if count == 0:
             raise ConfigError([f"dataset: {path} holds no {what}"])
-    train, test = _apply_preprocessing(ds, config.get("preprocessing", []))
+    steps = config.get("preprocessing", [])
+    if ds.n == 1 and any("split" in step for step in steps):
+        raise ConfigError([f"dataset: {path} holds one sample; a split needs at least two"])
+    train, test = _apply_preprocessing(ds, steps)
     l2 = config.get("l2", AUTO)
     if l2 == AUTO:
         l2 = 1e-2 / train.n

@@ -277,7 +277,10 @@ class _Recorder:
     """Evaluates and stores metrics on a pass schedule.
 
     Evaluation is instrumentation: it is not charged to the samples touched
-    and its time is excluded from the wall-clock column.
+    and its time is excluded from the wall-clock column.  A record forms at
+    most one margin product per split, shared by that split's metrics; it
+    takes the train margins from the loop when the loop formed them for an
+    SVRG snapshot at the same iterate.
     """
 
     def __init__(self, oracle: ProblemOracle, test_data: Dataset | None, eval_every: float):
@@ -291,9 +294,11 @@ class _Recorder:
         self.records: list[MetricsRecord] = []
         self._next = 0.0
 
-    def record(self, w: np.ndarray, passes: float, wall: float, iteration: int) -> None:
-        # One margin product per split, shared by that split's metrics.
-        z = self.oracle.margins(w)
+    def record(self, w: np.ndarray, passes: float, wall: float, iteration: int,
+               margins: np.ndarray | None = None) -> None:
+        """Record the metrics at ``w``; ``margins``, if given, must be
+        ``oracle.margins(w)``."""
+        z = self.oracle.margins(w) if margins is None else margins
         train_loss = self.oracle.full_loss(w, margins=z)
         if not math.isfinite(train_loss):
             raise DivergenceError(iteration, self.records)
@@ -489,7 +494,8 @@ class _FactoredIterate:
     step.
 
     SVRG is that SGD step (``P = I``, no stage sum) given the ``snapshot``
-    ``(w_snap, mu)``, mu the full gradient at the start ``w_snap``.  With
+    ``(w_snap, mu, X w_snap)``, mu the full gradient at the start ``w_snap``
+    (the margins are not read here).  With
     the drift ``d = mu - l2 w_snap``, fixed until the next snapshot, its step
     ``w <- w - eta (g_B(w) - g_B(w_snap) + mu)`` is
     ``beta w - eta d - (eta / b) X_B' (slope(X_B w) - slope(X_B w_snap))``,
@@ -534,7 +540,7 @@ class _FactoredIterate:
 
     def __init__(self, w: np.ndarray, nys: NystromApprox, rho: float, eta: float,
                  oracle: ProblemOracle, stage_sum: np.ndarray | None = None,
-                 snapshot: tuple[np.ndarray, np.ndarray] | None = None):
+                 snapshot: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None):
         self.oracle = oracle
         self.support = np.arange(oracle.p) if nys.support is None else nys.support
         size = self.support.size
@@ -657,11 +663,18 @@ class _DenseIterate:
     """The materialized step ``w <- w - eta P^{-1} g``, in O(b p + p r), behind
     the interface of :class:`_FactoredIterate`: ``P = I`` at rank zero, ``g``
     SVRG-corrected given a ``snapshot``, and a step adds ``w`` to the stage
-    sum in place."""
+    sum in place.
+
+    An SVRG step gathers its rows ``X_B`` once (:meth:`ProblemOracle.row_block`)
+    and forms ``g_B(w)`` and ``g_B(w_snap)`` from them
+    (:meth:`ProblemOracle.rows_gradient`), the latter from the margins
+    ``X w_snap`` of the snapshot's full pass: three products with ``X_B``,
+    not two gathers and four.
+    """
 
     def __init__(self, w: np.ndarray, nys: NystromApprox, rho: float, eta: float,
                  oracle: ProblemOracle, stage_sum: np.ndarray | None = None,
-                 snapshot: tuple[np.ndarray, np.ndarray] | None = None):
+                 snapshot: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None):
         self.nys, self.rho, self.eta, self.oracle, self.snapshot = nys, rho, eta, oracle, snapshot
         self.restart(w, stage_sum)
 
@@ -674,10 +687,14 @@ class _DenseIterate:
     def step(self, j: int) -> bool:
         """One step on the ``j``-th loaded minibatch; False if w is no longer finite."""
         batch = self.batches[j]
-        grad = self.oracle.minibatch_gradient(self.w, batch)
-        if self.snapshot is not None:
-            w_snap, mu = self.snapshot
-            grad = grad - self.oracle.minibatch_gradient(w_snap, batch) + mu
+        if self.snapshot is None:
+            grad = self.oracle.minibatch_gradient(self.w, batch)
+        else:
+            w_snap, mu, snap_margins = self.snapshot
+            feats, labels = self.oracle.row_block(batch)
+            margins = np.asarray(feats @ self.w).ravel()
+            grad = (self.oracle.rows_gradient(self.w, feats, labels, margins)
+                    - self.oracle.rows_gradient(w_snap, feats, labels, snap_margins[batch]) + mu)
         self.w = self.w - self.eta * (precond_solve(self.nys, self.rho, grad)
                                       if self.nys.rank else grad)
         if self.sum is not None:
@@ -734,6 +751,12 @@ def _drive(
     check at a refresh, snapshot, stage end or record
     (:class:`DivergenceError`), so the arithmetic runs with overflow and
     invalid-value warnings off.  Wall time covers the optimization work only.
+
+    An SVRG snapshot ``(w_snap, mu, X w_snap)`` costs one product with X and
+    one with X', both timed.  It does not move w, so a record at the end of
+    the epoch before it and the record just after it share its product with
+    X, which the loop forms inside the timed region (for the first, before
+    it stops the clock at that epoch end).
     """
     n, bg = oracle.n, cfg.grad_batch_size
     rng = make_rng(cfg.seed)
@@ -758,6 +781,8 @@ def _drive(
     # analytic b_g*K/n + sum_j (r+q)*b_h/n (+1 per snapshot) to the last bit.
     touched = k = updates = lr_estimates = snapshots = 0
     wall = 0.0
+    # X w, formed for the snapshot next and the record at w, else None
+    margins = None
     while touched / n < cfg.max_passes:
         tic = time.perf_counter()
         snapshot = svrg and k % epoch == 0
@@ -771,12 +796,15 @@ def _drive(
             if not np.all(np.isfinite(w)):
                 raise DivergenceError(k, recorder.records)
         if snapshot:
-            anchor = (w.copy(), oracle.minibatch_gradient(w, np.arange(n, dtype=np.int64)))
+            if margins is None:
+                margins = oracle.margins(w)
+            full = np.arange(n, dtype=np.int64)
+            anchor = (w.copy(), oracle.minibatch_gradient(w, full, margins=margins), margins)
             touched += n
             snapshots += 1
             wall += time.perf_counter() - tic
             if recorder.due(touched / n):
-                recorder.record(w, touched / n, wall, k)
+                recorder.record(w, touched / n, wall, k, margins)
             if touched / n >= cfg.max_passes:
                 break
             tic = time.perf_counter()
@@ -818,11 +846,14 @@ def _drive(
             due = recorder.due(touched / n)
             if due:
                 w = state.iterate()
+        # the snapshot's product with X, formed now for the record to share
+        margins = (oracle.margins(w) if due and svrg and k % epoch == 0
+                   and touched / n < cfg.max_passes else None)
         wall += time.perf_counter() - tic
         if due:
             if not np.all(np.isfinite(w)):
                 raise DivergenceError(k, recorder.records)
-            recorder.record(w, touched / n, wall, k)
+            recorder.record(w, touched / n, wall, k, margins)
     if state is not None:
         tic = time.perf_counter()
         w = state.iterate()

@@ -13,7 +13,8 @@ and the preconditioner regularization absorbs the rest.
 
 Two hooks hand a caller gathered rows to work on without gathering again:
 ``row_block`` returns the rows of a block of minibatches and their labels
-(with ``loss_slope`` for the per-sample gradient coefficient), and
+(with ``loss_slope`` for the per-sample gradient coefficient, and
+``rows_gradient`` for the minibatch gradient on them), and
 ``hessian_factor`` returns ``C`` with ``C' C`` the minibatch Hessian, the
 curvature weights computed once.  Every Nystrom build and step-size
 estimate works on ``C``; ``minibatch_hvp`` is the reference operator they
@@ -22,9 +23,9 @@ are tested against.
 Every logistic loss (``full_loss``, ``mean_sample_loss``,
 ``minibatch_loss``) goes through one helper, ``_logistic_loss_sum``, which
 sums ``log(1 + exp(t))`` as ``max(t, 0) + log1p(exp(-|t|))`` in vectorized
-passes.  The evaluation metrics take optional precomputed ``margins`` so
-that a caller reading several of them at one iterate forms ``features @ w``
-once.
+passes.  The evaluation metrics and ``minibatch_gradient`` take optional
+precomputed ``margins`` so that a caller reading several of them at one
+iterate forms ``features @ w`` once.
 
 Oracles are immutable after construction and safe for concurrent reads.
 """
@@ -141,11 +142,13 @@ class ProblemOracle:
         return np.asarray(feats @ self._check_w(w)).ravel()
 
     def _full_margins(self, w: np.ndarray, margins) -> np.ndarray:
-        if margins is None:
-            return self.margins(w)
+        return self.margins(w) if margins is None else self._given_margins(margins, self.n)
+
+    @staticmethod
+    def _given_margins(margins, size: int) -> np.ndarray:
         margins = np.asarray(margins, dtype=np.float64)
-        if margins.shape != (self.n,):
-            raise ValueError(f"margins have shape {margins.shape}, expected ({self.n},)")
+        if margins.shape != (size,):
+            raise ValueError(f"margins have shape {margins.shape}, expected ({size},)")
         return margins
 
     def _loss_sum(self, z: np.ndarray, labels: np.ndarray) -> float:
@@ -217,18 +220,38 @@ class ProblemOracle:
         that steps through many minibatches can pay for it once: every
         runner on CSR data gathers a whole block of minibatches drawn at
         once, and SVRG also forms the block's product with its snapshot and
-        drift (see ``optimizers._FactoredIterate``).
+        drift (see ``optimizers._FactoredIterate``); a dense SVRG step forms
+        both of its minibatch gradients from one gather (see
+        :meth:`rows_gradient`).
         """
         return self.data.features[batch], self.data.labels[batch]
 
-    def minibatch_gradient(self, w: np.ndarray, batch: np.ndarray) -> np.ndarray:
-        """``(1/|B|) sum_{i in B} grad f_i(w) + l2 * w``."""
+    def minibatch_gradient(self, w: np.ndarray, batch: np.ndarray,
+                           margins: np.ndarray | None = None) -> np.ndarray:
+        """``(1/|B|) sum_{i in B} grad f_i(w) + l2 * w``.
+
+        ``margins``, if given, must be ``self.margins(w, batch)``; it saves
+        the product (an SVRG snapshot shares its iterate's margins with the
+        records there).
+        """
         w = self._check_w(w)
         batch = self._check_batch(batch)
         feats = self.data.features if self._is_full(batch) else self.data.features[batch]
-        coeff = self.loss_slope(np.asarray(feats @ w).ravel(), self.data.labels[batch])
+        z = (np.asarray(feats @ w).ravel() if margins is None
+             else self._given_margins(margins, batch.size))
+        return self.rows_gradient(w, feats, self.data.labels[batch], z)
+
+    def rows_gradient(self, w: np.ndarray, feats, labels: np.ndarray,
+                      margins: np.ndarray) -> np.ndarray:
+        """``feats' slope(margins) / b + l2 * w``: the gradient on ``b``
+        gathered rows ``feats`` with their ``labels`` and margins
+        ``feats @ w``, unchecked.  :meth:`minibatch_gradient` forms it so,
+        and a dense SVRG step forms it at ``w`` and at ``w_snap`` from one
+        :meth:`row_block` gather (``optimizers._DenseIterate``).
+        """
+        coeff = self.loss_slope(margins, labels)
         grad = np.asarray(feats.T @ coeff).ravel()
-        return grad / batch.size + self.l2 * w
+        return grad / labels.size + self.l2 * w
 
     def curvature_weights(self, w: np.ndarray, batch: np.ndarray) -> np.ndarray:
         """Per-sample Hessian weights d_i(w): 1 for ridge, sigma(1-sigma) for logistic."""

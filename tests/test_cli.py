@@ -523,6 +523,14 @@ def empty_file(tmp_path, config):
         f"config error: dataset: {tmp_path / 'empty.svm'} holds no samples\n")
 
 
+def one_row_split(tmp_path, config):
+    (tmp_path / "one.svm").write_text("1 1:0.5\n")
+    return dict(config, dataset={"path": "one.svm"},
+                preprocessing=[{"split": {"fraction": 0.8, "seed": 0}}]), [], (
+        f"config error: dataset: {tmp_path / 'one.svm'} holds one sample; "
+        "a split needs at least two\n")
+
+
 def labels_only(tmp_path, config):
     # "auto" would resolve the rank to min(10, p) = 0
     (tmp_path / "labels.svm").write_text("1\n-1\n1\n")
@@ -551,8 +559,8 @@ def output_dir_under_a_file(tmp_path, config):
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
-@pytest.mark.parametrize("case", [bad_labels, tiny_rho, overflowing_rho, empty_file, labels_only,
-                                  zero_smoothness_bound, output_dir_is_a_file,
+@pytest.mark.parametrize("case", [bad_labels, tiny_rho, overflowing_rho, empty_file, one_row_split,
+                                  labels_only, zero_smoothness_bound, output_dir_is_a_file,
                                   output_dir_under_a_file])
 def test_data_dependent_mistakes_exit_2_with_one_line(workspace, capsys, command, case):
     tmp_path, _, config = workspace

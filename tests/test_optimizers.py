@@ -1,4 +1,6 @@
 import math
+from dataclasses import astuple, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from sketchysgd.optimizers import (
 )
 from sketchysgd.oracles import ProblemOracle, sample_batch
 from sketchysgd.synthetic import gaussian_dataset, planted_least_squares
+
+import reference
 
 
 def unit_row_oracle(task, n, p=5, seed=0):
@@ -383,12 +387,13 @@ def run_both(oracle, config, monkeypatch, eval_every=0.5, runner="sketchysgd"):
     ``runner`` is ``"sketchysgd"``, ``"staged"`` (the theoretical variant),
     ``"sgd"`` or ``"svrg"``.  The factored run may neither build a p-length
     gradient, except for an SVRG snapshot, nor call ``precond_solve`` per
-    step.
+    step.  A materialized SVRG step forms its two minibatch gradients from
+    one row gather, without ``minibatch_gradient``.
     """
     gradients, solves = [], []
     gradient = ProblemOracle.minibatch_gradient
-    monkeypatch.setattr(ProblemOracle, "minibatch_gradient",
-                        lambda self, w, batch: gradients.append(1) or gradient(self, w, batch))
+    monkeypatch.setattr(ProblemOracle, "minibatch_gradient", lambda self, w, batch, **kwargs:
+                        gradients.append(1) or gradient(self, w, batch, **kwargs))
     monkeypatch.setattr(optimizers, "precond_solve",
                         lambda *args: solves.append(1) or precond_solve(*args))
     if runner in ("sgd", "svrg"):
@@ -410,7 +415,7 @@ def run_both(oracle, config, monkeypatch, eval_every=0.5, runner="sketchysgd"):
     gradients.clear()
     dense = optimizers._drive(oracle, cfg, None, eval_every, None, factor_sparse_steps=False,
                               **flags)
-    assert len(gradients) == (2 if runner == "svrg" else 1) * dense.iterations + dense.snapshots
+    assert len(gradients) == (0 if runner == "svrg" else 1) * dense.iterations + dense.snapshots
     return factored, dense
 
 
@@ -928,8 +933,8 @@ def test_divergence_detection_on_the_factored_svrg_path(monkeypatch):
     oracle = csr_oracle("ridge", 0.0, seed=8)
     gradients = []
     gradient = ProblemOracle.minibatch_gradient
-    monkeypatch.setattr(ProblemOracle, "minibatch_gradient", lambda self, w, batch:
-                        gradients.append(batch.size) or gradient(self, w, batch))
+    monkeypatch.setattr(ProblemOracle, "minibatch_gradient", lambda self, w, batch, **kwargs:
+                        gradients.append(batch.size) or gradient(self, w, batch, **kwargs))
     with pytest.raises(DivergenceError) as exc:
         svrg_run(oracle, learning_rate=1e8, grad_batch_size=40, max_passes=200.0, seed=9,
                  eval_every=1e9)
@@ -992,6 +997,25 @@ def run_each(runner, oracle, test):
 RUNNER_NAMES = ("sketchysgd", "staged", "sgd", "svrg")
 
 
+def track_iterates(monkeypatch):
+    """The iterates (as bytes) that the loop records and snapshots, in order."""
+    recorded, snapshotted = [], []
+    record, gradient = optimizers._Recorder.record, ProblemOracle.minibatch_gradient
+
+    def tracked_record(self, w, *args):
+        recorded.append(w.tobytes())
+        return record(self, w, *args)
+
+    def tracked_gradient(self, w, batch, **kwargs):
+        if np.size(batch) == self.n:
+            snapshotted.append(w.tobytes())
+        return gradient(self, w, batch, **kwargs)
+
+    monkeypatch.setattr(optimizers._Recorder, "record", tracked_record)
+    monkeypatch.setattr(ProblemOracle, "minibatch_gradient", tracked_gradient)
+    return recorded, snapshotted
+
+
 @pytest.mark.parametrize("runner", RUNNER_NAMES)
 def test_a_record_forms_one_margin_product_per_split(monkeypatch, runner):
     oracle, test = split_csr_logistic()
@@ -1004,12 +1028,22 @@ def test_a_record_forms_one_margin_product_per_split(monkeypatch, runner):
         return matmul(self, other)
 
     monkeypatch.setattr(sp.csr_matrix, "__matmul__", counting)
+    recorded, snapshotted = track_iterates(monkeypatch)
     res = run_each(runner, oracle, test)
     records = len(res.records)
-    assert records >= 3 and all(r.test_acc is not None for r in res.records)
-    # an SVRG snapshot forms the full-data product for its gradient too
-    assert products[id(oracle.data.features)] == records + (res.snapshots if runner == "svrg" else 0)
+    assert records == len(recorded) >= 3 and all(r.test_acc is not None for r in res.records)
+    assert len(snapshotted) == res.snapshots
+    # an SVRG snapshot forms the full-data product for its gradient too, and
+    # shares it with the records at the end of the epoch before it and just
+    # after it: one product per iterate, but for w0, whose record comes
+    # before the loop
+    svrg = runner == "svrg"
+    assert products[id(oracle.data.features)] == len(set(recorded) | set(snapshotted)) + svrg
     assert products[id(test.features)] == records
+    if svrg:
+        assert len(set(recorded)) < records and set(recorded) & set(snapshotted)
+    else:
+        assert len(set(recorded)) == records
 
 
 def old_full_loss(self, w, margins=None):
@@ -1045,3 +1079,112 @@ def test_shared_margins_keep_runs_equal_to_the_old_metrics(monkeypatch, runner):
     for a, b in zip(res.records, ref.records):
         assert a.train_loss == pytest.approx(b.train_loss, rel=1e-15, abs=0.0)
         assert a.test_loss == pytest.approx(b.test_loss, rel=1e-15, abs=0.0)
+
+
+def svrg_problem(data, task, with_test):
+    """A dense or CSR problem of 500 samples, split 400/100 if ``with_test``."""
+    l2 = 1e-2 if task == "logistic" else 0.0
+    full = gaussian_dataset(500, 12, task, seed=40) if data == "dense" else csr_oracle(
+        task, l2, n=500, seed=40).data
+    train, test = split(full, 0.8, seed=4) if with_test else (full, None)
+    return ProblemOracle(train, task, l2), test
+
+
+def svrg_jobs(oracle, test):
+    """SVRG runs on one problem: plain (factored on CSR data), under two
+    record schedules, and materialized with a Nystrom preconditioner
+    refreshed every 4 steps of a 25-step epoch."""
+    cfg = resolve_config(OptimizerConfig(rank=3, grad_batch_size=16, hess_batch_size=10,
+                                         update_freq=4, learning_rate=0.02, max_passes=6.5,
+                                         seed=31), oracle)
+    materialized = dict(factor_sparse_steps=False) if oracle.data.is_sparse else {}
+    # b = 24 and n = 400: an epoch of 17 steps crosses a half pass at its
+    # end, so eval_every = 0.5 records both sides of every snapshot, and 1.5
+    # records some snapshots only after them
+    return [lambda e=e: svrg_run(oracle, grad_batch_size=24, max_passes=6.0, seed=41,
+                                 test_data=test, eval_every=e) for e in (0.5, 1.5)] + [
+        lambda: optimizers._drive(oracle, cfg, test, 0.5, None, precondition=True, svrg=True,
+                                  **materialized)]
+
+
+@pytest.mark.parametrize("data, task", [("dense", "ridge"), ("dense", "logistic"),
+                                        ("csr", "logistic")])
+@pytest.mark.parametrize("with_test", [False, True])
+def test_svrg_reads_give_the_numbers_of_the_reference_reads(monkeypatch, data, task, with_test):
+    # one gather per dense step and shared margins, against two gathers per
+    # step and a product per use (tests/reference.py).  The same bits on
+    # CSR data; on dense data they rest on BLAS forming (X w)[B] and X[B] w
+    # alike, which held on the OpenBLAS build checked but is not promised,
+    # so to 1e-12 there
+    oracle, test = svrg_problem(data, task, with_test)
+    rel = 0.0 if data == "csr" else 1e-12
+    for job in svrg_jobs(oracle, test):
+        new = job()
+        with monkeypatch.context() as patch:
+            reference.unshared_reads(patch)
+            old = job()
+        assert new.snapshots >= 3
+        np.testing.assert_allclose(new.w, old.w, rtol=rel, atol=0.0)
+        assert [getattr(new, c) for c in COUNTERS] == [getattr(old, c) for c in COUNTERS]
+        assert len(new.records) == len(old.records)
+        for a, b in zip(new.records, old.records):
+            assert astuple(replace(a, wall_seconds=0.0)) == pytest.approx(
+                astuple(replace(b, wall_seconds=0.0)), rel=rel, abs=0.0)
+
+
+@pytest.mark.parametrize("task", ["ridge", "logistic"])
+def test_dense_svrg_reads_its_rows_once_a_step_and_x_w_once_an_iterate(monkeypatch, task):
+    oracle, test = svrg_problem("dense", task, True)
+    gathers, products = [], {id(oracle.data): 0, id(test): 0}
+    row_block, margins = ProblemOracle.row_block, ProblemOracle.margins
+
+    def counted_row_block(self, batch):
+        gathers.append(np.size(batch))
+        return row_block(self, batch)
+
+    def counted_margins(self, w, rows=None):
+        if rows is None:
+            products[id(self.data)] += 1
+        return margins(self, w, rows)
+
+    monkeypatch.setattr(ProblemOracle, "row_block", counted_row_block)
+    monkeypatch.setattr(ProblemOracle, "margins", counted_margins)
+    recorded, snapshotted = track_iterates(monkeypatch)
+    gradient = ProblemOracle.minibatch_gradient  # every call is a snapshot's, with margins
+    monkeypatch.setattr(ProblemOracle, "minibatch_gradient", lambda self, w, batch, margins: (
+        gradient(self, w, batch, margins=margins)))
+    for i, job in enumerate(svrg_jobs(oracle, test)):
+        gathers.clear()
+        recorded.clear()
+        snapshotted.clear()
+        products.update(dict.fromkeys(products, 0))
+        res = job()
+        assert gathers == [24 if res.config is None else 16] * res.iterations
+        assert len(snapshotted) == res.snapshots >= 3
+        # w0 has two: its record comes before the loop and its snapshot
+        assert products[id(oracle.data)] == len(set(recorded) | set(snapshotted)) + 1
+        assert products[id(test)] == len(recorded)
+        if i == 0:  # recorded on both sides of every snapshot
+            assert len(set(recorded)) < len(recorded)
+            assert set(snapshotted) <= set(recorded)
+
+
+@pytest.mark.parametrize("data", ["dense", "csr"])
+def test_svrg_snapshot_margins_are_formed_in_the_timed_region(monkeypatch, data):
+    # a clock that ticks once per product of the training features with w:
+    # the wall column then counts the products charged to the optimization,
+    # one per snapshot, whether or not a record shares it
+    oracle, test = svrg_problem(data, "ridge", True)
+    clock, margins = [0.0], ProblemOracle.margins
+
+    def ticking_margins(self, w, rows=None):
+        if self is oracle and rows is None:
+            clock[0] += 1.0
+        return margins(self, w, rows)
+
+    monkeypatch.setattr(ProblemOracle, "margins", ticking_margins)
+    monkeypatch.setattr(optimizers, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    for job in svrg_jobs(oracle, test):
+        res = job()
+        assert res.snapshots >= 3
+        assert res.records[-1].wall_seconds == res.snapshots

@@ -91,8 +91,15 @@ def test_metrics_from_given_margins_equal_metrics_from_w(task, sparse):
     assert oracle.mean_sample_loss(w, margins=z) == oracle.mean_sample_loss(w)
     if task == "logistic":
         assert oracle.accuracy(w, margins=z) == oracle.accuracy(w)
+    full, batch = np.arange(50), np.arange(3, 50, 7)
+    np.testing.assert_array_equal(oracle.minibatch_gradient(w, full, margins=z),
+                                  oracle.minibatch_gradient(w, full))
+    np.testing.assert_array_equal(oracle.minibatch_gradient(w, batch, margins=z[batch]),
+                                  oracle.minibatch_gradient(w, batch))
     with pytest.raises(ValueError, match="margins have shape"):
         oracle.full_loss(w, margins=z[1:])
+    with pytest.raises(ValueError, match="margins have shape"):
+        oracle.minibatch_gradient(w, batch, margins=z)
 
 
 def old_accuracy(z, labels):

@@ -5,8 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import scipy.sparse as sp
+
 from sketchysgd import cli, optimizers
-from sketchysgd.data import save_libsvm
+from sketchysgd.data import Dataset, save_libsvm
 from sketchysgd.optimizers import OptimizerConfig, RunResult
 from sketchysgd.oracles import ProblemOracle
 from sketchysgd.synthetic import planted_least_squares
@@ -46,10 +49,21 @@ def assert_every_patch_point_called(tracer, runners):
     assert all(isinstance(result, RunResult) for _, result in tracer.results)
 
 
-def test_benchmark_patch_points_see_the_library_runners():
+def csr_logistic_oracle(n=300, p=40, seed=0):
+    """CSR logistic data with six stored entries per row."""
+    rng = np.random.default_rng(seed)
+    cols = rng.integers(0, p, size=(n, 6))
+    feats = sp.csr_matrix((rng.uniform(0.5, 1.5, cols.size), (np.repeat(np.arange(n), 6),
+                                                               cols.ravel())), shape=(n, p))
+    feats.sum_duplicates()
+    labels = np.where(feats @ rng.standard_normal(p) > 0, 1.0, -1.0)
+    return ProblemOracle(Dataset(feats, labels), "logistic", 1e-2 / n)
+
+
+def assert_library_runners_traced(oracle):
+    """Every patch point sees the four runners on ``oracle``, and every SVRG
+    snapshot is one traced full gradient, whatever it shares."""
     tracing = load_tracing()
-    ds, _ = planted_least_squares(200, 12, condition=100.0, seed=0)
-    oracle = ProblemOracle(ds, "ridge", 0.0)
     tracer = tracing.Tracer()
     with tracer.installed():
         optimizers.sketchysgd_run(oracle, OptimizerConfig(max_passes=2.0))
@@ -57,8 +71,22 @@ def test_benchmark_patch_points_see_the_library_runners():
             oracle, OptimizerConfig(mode="theoretical", learning_rate="auto", max_passes=2.0)
         )
         optimizers.sgd_run(oracle, max_passes=2.0)
-        optimizers.svrg_run(oracle, max_passes=2.0)
+        svrg = optimizers.svrg_run(oracle, max_passes=5.0)
     assert_every_patch_point_called(tracer, tracing.RUNNERS)
+    # counted inside the SVRG span: when b_g = n the other runners' steps are full too
+    runner = next(i for i, span in enumerate(tracer.spans) if span[0] == "optimizers.svrg_run")
+    full = [span for span in tracer.spans if span[0] == "oracles.full_gradient"
+            and span[3] == runner]
+    assert len(full) == svrg.snapshots >= 2
+
+
+def test_benchmark_patch_points_see_the_library_runners():
+    ds, _ = planted_least_squares(200, 12, condition=100.0, seed=0)
+    assert_library_runners_traced(ProblemOracle(ds, "ridge", 0.0))
+
+
+def test_benchmark_patch_points_see_the_library_runners_on_csr_data():
+    assert_library_runners_traced(csr_logistic_oracle())
 
 
 def test_benchmark_patch_points_see_the_cli_jobs(tmp_path):
