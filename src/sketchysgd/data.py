@@ -54,7 +54,8 @@ class Dataset:
         feats = self.features
         if sp.issparse(feats):
             feats = feats.tocsr()
-            feats.sort_indices()
+            # Canonical form: sorted column indices, each stored at most once.
+            feats.sum_duplicates()
             if not np.all(np.isfinite(feats.data)):
                 raise ValueError("dataset contains non-finite feature values")
         else:
@@ -91,9 +92,18 @@ class Dataset:
         return self.features
 
     def row_norms(self) -> np.ndarray:
-        """Euclidean norm of every sample row."""
+        """Euclidean norm of every sample row.
+
+        On CSR features only the stored values are squared; the matrix of
+        squares shares the index arrays rather than copying them.
+        """
         if self.is_sparse:
-            sq = np.asarray(self.features.multiply(self.features).sum(axis=1)).ravel()
+            feats = self.features
+            # A square past the float range is inf, as on dense rows, and
+            # callers check what they derive from it.
+            with np.errstate(over="ignore"):
+                squares = sp.csr_matrix((feats.data * feats.data, feats.indices, feats.indptr), shape=feats.shape)
+            sq = np.asarray(squares.sum(axis=1)).ravel()
         else:
             sq = np.einsum("ij,ij->i", self.features, self.features)
         return np.sqrt(sq)
@@ -418,12 +428,15 @@ def random_features(ds: Dataset, fmap: FeatureMap) -> Dataset:
         raise ValueError(
             f"feature map expects {fmap.weights.shape[0]} input features, dataset has {ds.p}"
         )
-    proj = ds.features @ fmap.weights
-    proj = np.asarray(proj)
+    # The map works in the buffer of the projection, so the transform holds
+    # one n x D matrix.
+    out = np.asarray(ds.features @ fmap.weights)
     if fmap.kind == "rff-cosine":
-        out = np.sqrt(2.0 / fmap.dim) * np.cos(proj + fmap.offsets[None, :])
+        out += fmap.offsets
+        np.cos(out, out=out)
+        out *= np.sqrt(2.0 / fmap.dim)
     else:
-        out = np.maximum(proj, 0.0)
+        np.maximum(out, 0.0, out=out)
     note = f" | random_features({fmap.kind}, D={fmap.dim}, seed={fmap.seed})"
     return Dataset(out, ds.labels, ds.provenance + note)
 

@@ -5,6 +5,16 @@ The planted least-squares family controls the Hessian spectrum exactly:
 ``A'A/n`` has the requested eigenvalues and row subsampling perturbs it
 multiplicatively rather than additively.  Targets are set to ``A w_star``,
 so the optimum interpolates every sample and the minimum loss is zero.
+
+The instance is built in place.  The n x p Gaussian behind U is drawn in
+blocks of rows from one stream, which gives the same numbers as a single
+row-major draw, straight into a column-major buffer.  Householder QR then
+overwrites that buffer with U, its columns are scaled by ``s``, and one
+product with ``V'`` writes the row-major matrix.  Set-up thus holds about
+two copies of the matrix at its peak.  With one BLAS thread the instance is
+the same to the last bit as a single row-major draw factored by
+``np.linalg.qr``; with more threads the two LAPACK builds of NumPy and SciPy
+may round differently in the last bits.
 """
 
 from __future__ import annotations
@@ -12,9 +22,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.linalg
 
 from .data import Dataset
 from .linalg import make_rng
+
+# Rows per block of the Gaussian draw behind U.
+_DRAW_BLOCK = 2048
 
 
 def planted_spectrum(p: int, condition: float, knee: int = 4) -> np.ndarray:
@@ -46,6 +60,8 @@ def planted_least_squares(
 
     Returns ``(dataset, w_star)`` where the labels are exactly ``A w_star``:
     the unregularized objective has minimum value zero at ``w_star``.
+    U is formed in the buffer of its Gaussian draw (see the module
+    docstring), so the peak footprint is about twice ``A``'s n x p bytes.
     """
     if p > n:
         raise ValueError("planted instances require n >= p")
@@ -54,12 +70,14 @@ def planted_least_squares(
     if eigs.shape != (p,) or np.any(eigs <= 0):
         raise ValueError("eigenvalues must be p positive reals")
     # A = U diag(s) V' with s = sqrt(n * eig) makes A'A/n have the planted spectrum.
-    gu = rng.standard_normal((n, p))
-    u, _ = np.linalg.qr(gu)
-    gv = rng.standard_normal((p, p))
-    v, _ = np.linalg.qr(gv)
-    svals = np.sqrt(n * eigs)
-    a = (u * svals) @ v.T
+    u = np.empty((n, p), order="F")
+    for start in range(0, n, _DRAW_BLOCK):
+        u[start:start + _DRAW_BLOCK] = rng.standard_normal((min(_DRAW_BLOCK, n - start), p))
+    u, _ = scipy.linalg.qr(u, mode="economic", overwrite_a=True, check_finite=False)
+    v, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    u *= np.sqrt(n * eigs)
+    a = u @ v.T
+    del u  # before the labels and the Dataset checks, so the peak stays at two copies
     w_star = rng.standard_normal(p)
     w_star /= np.linalg.norm(w_star)
     labels = a @ w_star

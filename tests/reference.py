@@ -5,13 +5,22 @@ of version 0.3.0, which gave the same numbers with more work: a dense SVRG
 step that calls ``minibatch_gradient`` at ``w`` and at ``w_snap`` (two row
 gathers and four products), and a snapshot gradient and records that each
 form their own margin products.
+
+:func:`planted_least_squares` is the planted instance as version 0.3.0 built
+it: one row-major Gaussian draw factored by ``np.linalg.qr``.
+
+:func:`traced_peak` measures the NumPy allocations of one call.
 """
+
+import tracemalloc
 
 import numpy as np
 
 from sketchysgd import optimizers
+from sketchysgd.linalg import make_rng
 from sketchysgd.nystrom import precond_solve
 from sketchysgd.oracles import ProblemOracle
+from sketchysgd.synthetic import planted_spectrum
 
 
 def two_gather_step(self, j):
@@ -41,3 +50,31 @@ def unshared_reads(monkeypatch):
         record(self, w, passes, wall, iteration)
 
     monkeypatch.setattr(optimizers._Recorder, "record", own_margins)
+
+
+def planted_least_squares(n, p, condition=1e4, seed=0, eigenvalues=None):
+    """``(features, labels, w_star)`` of ``synthetic.planted_least_squares``,
+    drawn and factored out of place."""
+    rng = make_rng(seed)
+    eigs = planted_spectrum(p, condition) if eigenvalues is None else np.asarray(eigenvalues, dtype=np.float64)
+    u, _ = np.linalg.qr(rng.standard_normal((n, p)))
+    v, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    a = (u * np.sqrt(n * eigs)) @ v.T
+    w_star = rng.standard_normal(p)
+    w_star /= np.linalg.norm(w_star)
+    return a, a @ w_star, w_star
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``(result, peak bytes)`` of one call under tracemalloc.
+
+    tracemalloc sees NumPy's array allocations but not the buffers that
+    LAPACK and BLAS allocate inside a call, so the peak is a lower bound on
+    the call's footprint.
+    """
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

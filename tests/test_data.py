@@ -26,6 +26,8 @@ from sketchysgd.data import (
 from sketchysgd.linalg import make_rng
 from sketchysgd.synthetic import planted_least_squares
 
+import reference
+
 
 def random_sparse_dataset(n, p, density, seed):
     rng = make_rng(seed)
@@ -403,6 +405,46 @@ def test_random_features_gaussian_kernel():
         kernel = np.exp(-np.linalg.norm(x - y) ** 2 / 2.0)
         errs.append(abs(float(z[0] @ z[1]) - kernel))
     assert np.median(errs) <= 0.02
+
+
+@pytest.mark.parametrize("kind", ["rff-cosine", "relu"])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_random_features_work_in_the_projection_buffer(kind, sparse):
+    """The map holds one n x D matrix: NumPy allocations peak at 1.1x the
+    output plus the input (the Dataset's finiteness check adds an n x D
+    boolean mask, 1/8 of the output).  Buffers inside BLAS are not traced."""
+    rng = make_rng(15)
+    dense = rng.standard_normal((4000, 50))
+    ds = Dataset(sp.csr_matrix(dense) if sparse else dense, np.zeros(4000))
+    fmap = FeatureMap.create(kind, dim=1500, input_dim=50, seed=2, bandwidth=2.0)
+    out, peak = reference.traced_peak(random_features, ds, fmap)
+    proj = ds.features @ fmap.weights
+    if kind == "rff-cosine":
+        want = np.sqrt(2.0 / fmap.dim) * np.cos(proj + fmap.offsets[None, :])
+    else:
+        want = np.maximum(proj, 0.0)
+    np.testing.assert_array_equal(out.features, want)
+    inputs = ds.features.data.nbytes if sparse else ds.features.nbytes
+    assert peak <= 1.1 * out.features.nbytes + inputs
+
+
+def test_csr_row_norms_square_only_the_stored_values():
+    """Bit for bit the norms of the squared matrix, and NumPy allocations
+    stay below one squared copy of the CSR arrays."""
+    ds = random_sparse_dataset(3000, 400, 0.05, seed=16)
+    feats = ds.features
+    norms, peak = reference.traced_peak(ds.row_norms)
+    np.testing.assert_array_equal(norms, np.sqrt(np.asarray(feats.multiply(feats).sum(axis=1)).ravel()))
+    assert peak < feats.data.nbytes + feats.indices.nbytes + feats.indptr.nbytes
+
+
+def test_csr_with_duplicate_entries_sums_them():
+    mat = sp.csr_matrix((np.array([1.0, 2.0, 4.0, -3.0]), np.array([2, 0, 2, 1]), np.array([0, 3, 4])),
+                        shape=(2, 3))
+    ds = Dataset(mat, np.zeros(2))
+    assert ds.features.nnz == 3
+    np.testing.assert_array_equal(ds.dense_features(), [[2.0, 0.0, 5.0], [0.0, -3.0, 0.0]])
+    np.testing.assert_array_equal(ds.row_norms(), np.sqrt([29.0, 9.0]))
 
 
 def test_split_sizes_and_reproducibility():
