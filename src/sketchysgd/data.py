@@ -7,20 +7,29 @@ strictly increasing feature indices no larger than 2^63 - 1 and finite
 numbers; anything else raises :class:`LibsvmParseError` with its line.  All
 transforms are pure: they return new datasets and never mutate their input.
 
-:func:`parse_libsvm` reads :data:`PARSE_CHUNK_LINES` lines at a time.  When
-every line of a chunk is plain (``label idx:val ...`` with ASCII number
-fields), NumPy checks its structure, reads the indices from their digits and
-converts all labels and values in one ``np.fromstring`` call.  Any other
+:func:`parse_libsvm` reads a string or text stream in blocks of
+:data:`READ_BLOCK_CHARS` characters, each cut after its last newline, so
+text mode keeps its universal newlines and decode errors; an iterable of
+lines is taken :data:`PARSE_CHUNK_LINES` items at a time, one line per item.
+When every line of a chunk is plain (blank, or ``label idx:val ...`` in ASCII
+number fields between spaces, tabs and carriage returns), NumPy finds its
+tokens and checks its structure, and one digit kernel reads the indices,
+labels and values right-aligned, one byte column at a time across all
+tokens.  A label or value ``[+-]?digits[.digits]`` of at most 15 significant
+digits is ``±M / 10**k`` with M and ``10**k`` exact in float64, so the one
+correctly rounded division gives the bits of ``float`` (Clinger's fast
+path).  A chunk with another number (an exponent, 16 or more significant
+digits, more than 18 characters) reads its labels and values with one
+``np.fromstring`` call, which also gives the bits of ``float``.  Any other
 chunk goes line by line through ``_parse_line``, the one statement of the
 line grammar, which raises the error with its line number or reads the
-unusual but legal tokens (``+3:1``, ``1:1_0``).  Both paths give the same
+unusual but legal tokens (``+3:1``, ``1:1_0``).  All paths give the same
 arrays to the bit.
 """
 
 from __future__ import annotations
 
 import gzip
-import io
 import itertools
 import math
 import warnings
@@ -34,6 +43,12 @@ from .linalg import DiagnosticCapError, EIGH_DIM_CAP, eigh_small
 
 class LibsvmParseError(ValueError):
     """Malformed libsvm text; the message carries the 1-based line number."""
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry is finite, without an entry-sized temporary: a
+    NaN makes the minimum NaN, and an infinity is the minimum or maximum."""
+    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
 
 
 @dataclass(frozen=True)
@@ -54,22 +69,25 @@ class Dataset:
         feats = self.features
         if sp.issparse(feats):
             feats = feats.tocsr()
-            # Canonical form: sorted column indices, each stored at most once.
-            feats.sum_duplicates()
-            if not np.all(np.isfinite(feats.data)):
+            if not feats.has_canonical_format:
+                # Canonical form: sorted column indices, each stored at most
+                # once.  A copy, since tocsr() may return the caller's matrix.
+                feats = feats.copy()
+                feats.sum_duplicates()
+            if not _all_finite(feats.data):
                 raise ValueError("dataset contains non-finite feature values")
         else:
             feats = np.ascontiguousarray(np.asarray(feats, dtype=np.float64))
             if feats.ndim != 2:
                 raise ValueError("features must be a 2-d matrix")
-            if not np.all(np.isfinite(feats)):
+            if not _all_finite(feats):
                 raise ValueError("dataset contains non-finite feature values")
         labels = np.asarray(self.labels, dtype=np.float64).ravel()
         if labels.shape[0] != feats.shape[0]:
             raise ValueError(
                 f"label count {labels.shape[0]} does not match sample count {feats.shape[0]}"
             )
-        if not np.all(np.isfinite(labels)):
+        if not _all_finite(labels):
             raise ValueError("dataset contains non-finite labels")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
@@ -154,87 +172,153 @@ def _parse_line(line: str, lineno: int):
     return label, idxs, vals
 
 
-#: Lines read and converted per vectorised step of :func:`parse_libsvm`.
-#: Larger chunks parse no faster and leave more freed memory in the heap.
+#: Lines per chunk when the source is an iterable of lines.
 PARSE_CHUNK_LINES = 1 << 12
 
+#: Characters per ``read`` of a text stream (or slice of a string); each
+#: block is cut after its last newline.  Blocks of 2**17 to 2**20 characters
+#: parse a file equally fast; smaller ones pay NumPy's per-call cost more
+#: often, and larger ones only hold more memory.
+READ_BLOCK_CHARS = 1 << 19
+
 # The bytes of a plain libsvm chunk; any other byte leaves it to _parse_line.
-_PLAIN_BYTES = b"0123456789.eE+-: \t\n"
+_PLAIN_BYTES = b"0123456789.eE+-: \t\r\n"
+
+#: The widest token the digit kernel reads: 18 digits fit int64.
+_MAX_WIDTH = 18
+#: ``10**k`` as float64 for the digits right of a point; each is exact.
+_POW10 = np.array([float(10**k) for k in range(_MAX_WIDTH)])
 
 
-def _parse_plain(lines: list[str]):
-    """Vectorised :func:`_parse_line` over stripped, non-blank lines.
+def _read_decimals(raw: np.ndarray, ends: np.ndarray, widths: np.ndarray, max_digits: int):
+    """Read the tokens ``raw[ends - widths:ends]`` right-aligned, one byte
+    column at a time across all of them, from the highest column down.
+
+    Every token must read ``[+-]?digits[.digits]``, where either digit run
+    may be empty but not both, in at most :data:`_MAX_WIDTH` bytes, with at
+    most ``max_digits`` significant digits.  Returns None if one does not;
+    otherwise ``(mantissa, tail, lead)``: the digits as one int64, the bytes
+    from the point to the end (0 without a point), and the first byte, which
+    holds any sign.
+    """
+    top = int(widths.max(initial=0))
+    if top > _MAX_WIDTH:
+        return None
+    widths = widths.astype(np.uint8)
+    mantissa = np.zeros(ends.size, dtype=np.int64)
+    tail = np.zeros(ends.size, dtype=np.uint8)
+    points = np.zeros(ends.size, dtype=np.uint8)
+    others = np.zeros(ends.size, dtype=np.uint8)  # neither digit nor point
+    at = ends - top
+    for col in range(top - 1, -1, -1):
+        byte = raw[at]
+        at += 1
+        live = widths > col
+        digit = byte - np.uint8(ord("0"))  # wraps to above 9 for any non-digit
+        is_digit = digit < 10
+        is_point = (byte == ord(".")) & live
+        others += live & ~(is_digit | is_point)
+        points += is_point
+        tail += is_point.view(np.uint8) * np.uint8(col + 1)
+        digit *= is_digit & live
+        # Horner's rule, skipping the point.  A column left of a token reads
+        # a byte before it (or, wrapping, from the end) as a leading zero,
+        # and a sign reads as one too.
+        mantissa *= np.uint8(10) - np.uint8(9) * is_point.view(np.uint8)
+        mantissa += digit
+    at -= widths
+    lead = raw[at]
+    signed = (lead == ord("+")) | (lead == ord("-"))
+    if ((points > 1).any() or (others != signed).any() or (widths <= signed + points).any()
+            or (mantissa >= 10**max_digits).any()):
+        return None
+    return mantissa, tail, lead
+
+
+def _parse_plain(text: str):
+    """Vectorised :func:`_parse_line` over whole lines ending in a newline.
 
     Returns ``(labels, row_ends, indices, values)`` when every line is plain:
-    ``label idx:val ...`` separated by spaces or tabs, where the label has no
-    colon, each feature token has exactly one colon with a non-empty field on
-    either side, each index is 1 to 18 ASCII digits, indices rise from 1
-    within a row, and every label and value is one number made of
-    ``[0-9.eE+-]``, which ``np.fromstring`` reads to the same bits as
-    ``float``.  Returns None otherwise, so that ``_parse_line`` parses (or
-    rejects) the lines.
+    blank, or ``label idx:val ...`` between runs of spaces, tabs and
+    carriage returns, where the label has no colon, each feature token has
+    exactly one colon with a non-empty field on either side, each index is
+    ASCII digits worth 1 to 10**18 - 1, indices rise within a row, and every
+    label and value is one number made of ``[0-9.eE+-]``.  Returns None
+    otherwise, so that ``_parse_line`` parses (or rejects) the lines.
+
+    Labels and values of the form ``[+-]?digits[.digits]`` with at most 15
+    significant digits are ``±M / 10**k`` with M and ``10**k`` exact in
+    float64, so one correctly rounded division gives the bits of ``float``.
+    If any number has another form, ``np.fromstring`` reads them all, which
+    also gives the bits of ``float``.
     """
-    text = "\n".join(lines) + "\n"
     if not text.isascii():
         return None
     encoded = text.encode("ascii")
     if encoded.translate(None, _PLAIN_BYTES):
         return None
     raw = np.frombuffer(encoded, dtype=np.uint8)
-    colon = raw == ord(":")
-    space = (raw == ord(" ")) | (raw == ord("\t"))
-    blank = space | (raw == ord("\n"))
-    # Separator events: every colon and the first byte of every blank run.
-    event = blank.copy()
-    event[1:] &= ~blank[:-1]
-    event |= colon
-    pos = np.flatnonzero(event)
-    is_colon = colon[pos]
-    # Each line reads label (space idx colon val)* newline: every run of
-    # spaces is followed by a colon and every colon follows such a run.
-    if is_colon[0] or not np.array_equal(space[pos[:-1]], is_colon[1:]):
+    # Tokens are the runs of bytes above the space; the text ends in a
+    # newline, so every run ends before the last byte.
+    blank = np.empty(raw.size + 1, dtype=bool)
+    blank[0] = True
+    np.less_equal(raw, ord(" "), out=blank[1:])
+    edges = np.flatnonzero(blank[1:] != blank[:-1])
+    starts, ends = edges[0::2], edges[1::2]
+    # The first token of a line is its label, the others its features.
+    is_label = np.zeros(starts.size + 1, dtype=bool)
+    is_label[0] = True
+    is_label[np.searchsorted(starts, np.flatnonzero(raw == ord("\n")))] = True
+    is_label = is_label[:-1]
+    labels_at = np.flatnonzero(is_label)
+    features_at = np.flatnonzero(~is_label)
+    # The k-th colon must lie inside the k-th feature token, neither first
+    # nor last; then each feature token has one colon and no label has any.
+    colons = np.flatnonzero(raw == ord(":"))
+    if colons.size != features_at.size:
         return None
-    colons = pos[is_colon]
+    index_starts = starts[features_at]
+    if not ((colons > index_starts).all() and (colons < ends[features_at] - 1).all()):
+        return None
 
-    # Each index is the digits between a run of spaces and its colon; an
-    # empty one reads as 0, which the check on indices below 1 rejects.
-    starts = np.flatnonzero(space[:-1] & ~space[1:]) + 1
-    width = colons - starts
-    if width.size and width.max() > 18:  # more digits may overflow int64
-        return None
-    fields = raw.copy()
-    fields[colons] = ord(" ")
-    index = np.zeros(colons.size, dtype=np.int64)
-    for place in range(width.max(initial=0)):
-        inside = width > place
-        at = colons[inside] - 1 - place
-        digit = raw[at] - ord("0")  # wraps to above 9 for any non-digit
-        if (digit > 9).any():
-            return None
-        index[inside] += digit.astype(np.int64) * 10**place
-        fields[at] = ord(" ")
-    row_ends = np.cumsum(is_colon, dtype=np.int64)[raw[pos] == ord("\n")]
-    row_starts = np.concatenate(([0], row_ends[:-1]))
+    read = _read_decimals(raw, colons, colons - index_starts, 18)
+    if read is None or read[1].any() or (read[2] < ord("0")).any():
+        return None  # not digits alone: a point or a sign
+    index = read[0]
+    row_ends = np.append(labels_at[1:], starts.size) - np.arange(1, labels_at.size + 1)
+    row_starts = labels_at - np.arange(labels_at.size)
     rising = np.ones(index.size, dtype=bool)
     rising[1:] = index[1:] > index[:-1]
     rising[row_starts[row_starts < index.size]] = True
     if not (rising.all() and (index >= 1).all()):
         return None
 
-    # With indices and colons blanked out, what is left is the labels and
-    # values.  A field that does not read fully as one number raises.  An
-    # empty value, or a line that held a newline, makes the count wrong.
-    try:
-        with warnings.catch_warnings():
-            # Older NumPy only warns on a partial read.
-            warnings.simplefilter("error", DeprecationWarning)
-            numbers = np.fromstring(fields.tobytes(), sep=" ")
-    except (ValueError, DeprecationWarning):
-        return None
-    if numbers.size != len(lines) + colons.size:
-        return None
-    is_label = np.zeros(numbers.size, dtype=bool)
-    is_label[np.arange(len(lines)) + row_starts] = True
+    # Labels and values, in token order.
+    num_starts = starts.copy()
+    num_starts[features_at] = colons + 1
+    read = _read_decimals(raw, ends, ends - num_starts, 15)
+    if read is not None:
+        mantissa, tail, lead = read
+        numbers = mantissa / _POW10[tail - (tail > 0)]
+        np.negative(numbers, out=numbers, where=lead == ord("-"))
+    else:
+        # With indices and colons blanked out, what is left is the labels
+        # and values.  A field that does not read fully as one number
+        # raises; an empty value makes the count wrong.
+        fields = raw.copy()
+        inside = np.zeros(raw.size + 1, dtype=np.int8)
+        inside[index_starts] = 1
+        inside[colons + 1] = -1
+        fields[np.cumsum(inside[:-1], dtype=np.int8).view(bool)] = ord(" ")
+        try:
+            with warnings.catch_warnings():
+                # Older NumPy only warns on a partial read.
+                warnings.simplefilter("error", DeprecationWarning)
+                numbers = np.fromstring(fields.tobytes(), sep=" ")
+        except (ValueError, DeprecationWarning):
+            return None
+        if numbers.size != starts.size:
+            return None
     return numbers[is_label], row_ends, index - 1, numbers[~is_label]
 
 
@@ -258,17 +342,55 @@ def _parse_lines(lines: list[str], linenos: list[int]):
     )
 
 
-def _line_numbers(chunk: list[str], consumed: int) -> list[int]:
-    """1-based file line numbers of the non-blank lines of a chunk."""
-    return [consumed + i for i, line in enumerate(chunk, start=1) if line]
+def _whole_lines(blocks):
+    """Join and cut blocks of text so that each piece ends after a newline;
+    the last piece takes the rest, with a newline added if it has none."""
+    pending: list[str] = []
+    block = next(blocks, "")
+    while block:
+        following = next(blocks, "")
+        if not following:
+            text = "".join(pending) + block
+            yield text if text.endswith("\n") else text + "\n"
+        elif cut := block.rfind("\n") + 1:
+            yield "".join(pending) + block[:cut]
+            pending = [block[cut:]]
+        else:
+            pending.append(block)
+        block = following
 
 
-def _check_finite(part, chunk: list[str], consumed: int) -> None:
+def _chunks(source):
+    """The lines of a libsvm source, in chunks of whole lines.
+
+    Yields ``(text, lines)``.  ``text`` holds the chunk's lines, each ending
+    in a newline.  A text stream is read :data:`READ_BLOCK_CHARS` characters
+    at a time, a string is sliced the same way, and each block is cut after
+    its last newline; ``lines`` is None.  An iterable gives
+    :data:`PARSE_CHUNK_LINES` items at a time, each one line even if it
+    holds a newline; ``lines`` are the stripped items, and ``text`` joins
+    them, or is None if an item holds a newline.
+    """
+    if isinstance(source, str):
+        size = READ_BLOCK_CHARS
+        for text in _whole_lines(source[at:at + size] for at in range(0, len(source), size)):
+            yield text, None
+    elif hasattr(source, "read"):
+        for text in _whole_lines(iter(lambda: source.read(READ_BLOCK_CHARS), "")):
+            yield text, None
+    else:
+        items = iter(source)
+        while lines := [raw.strip() for raw in itertools.islice(items, PARSE_CHUNK_LINES)]:
+            text = "\n".join(lines) + "\n"
+            yield (text if text.count("\n") == len(lines) else None), lines
+
+
+def _check_finite(part, text: str, lines: list[str] | None, consumed: int) -> None:
     """Reject the first line of a parsed chunk that holds a non-finite number."""
     labels, row_ends, _indices, values = part
-    bad_labels, bad_values = ~np.isfinite(labels), ~np.isfinite(values)
-    if not (bad_labels.any() or bad_values.any()):
+    if _all_finite(labels) and _all_finite(values):
         return
+    bad_labels, bad_values = ~np.isfinite(labels), ~np.isfinite(values)
     value_rows = np.searchsorted(row_ends, np.flatnonzero(bad_values), side="right")
     row = min(np.flatnonzero(bad_labels)[:1].tolist() + value_rows[:1].tolist())
     if bad_labels[row]:
@@ -276,7 +398,9 @@ def _check_finite(part, chunk: list[str], consumed: int) -> None:
     else:
         first = int(np.flatnonzero(bad_values)[0])
         what = f"feature value {float(values[first])!r}"
-    raise LibsvmParseError(f"line {_line_numbers(chunk, consumed)[row]}: {what} is not finite")
+    lines = text[:-1].split("\n") if lines is None else lines
+    linenos = [consumed + i for i, line in enumerate(lines, start=1) if line.strip()]
+    raise LibsvmParseError(f"line {linenos[row]}: {what} is not finite")
 
 
 def parse_libsvm(source, num_features: int | None = None) -> Dataset:
@@ -286,29 +410,26 @@ def parse_libsvm(source, num_features: int | None = None) -> Dataset:
     feature count defaults to the largest index seen; pass ``num_features``
     to override (needed when trailing features are absent from the data).
     """
-    if isinstance(source, str):
-        lines = io.StringIO(source)
-        name = "<string>"
-    else:
-        lines = source
-        name = getattr(source, "name", "<stream>")
-
+    name = "<string>" if isinstance(source, str) else getattr(source, "name", "<stream>")
     labels = [np.empty(0)]
     indptr = [np.zeros(1, dtype=np.int64)]
     indices = [np.empty(0, dtype=np.int64)]
     values = [np.empty(0)]
-    consumed = 0
-    rows = iter(lines)
-    while chunk := [raw.strip() for raw in itertools.islice(rows, PARSE_CHUNK_LINES)]:
-        kept = [line for line in chunk if line]
-        if kept:
-            part = _parse_plain(kept) or _parse_lines(kept, _line_numbers(chunk, consumed))
-            _check_finite(part, chunk, consumed)
-            labels.append(part[0])
-            indptr.append(part[1] + indptr[-1][-1])
-            indices.append(part[2])
-            values.append(part[3])
-        consumed += len(chunk)
+    nnz = consumed = 0
+    for text, lines in _chunks(source):
+        part = None if text is None else _parse_plain(text)
+        if part is None:
+            lines = text[:-1].split("\n") if lines is None else lines
+            stripped = [line.strip() for line in lines]
+            linenos = [consumed + i for i, line in enumerate(stripped, start=1) if line]
+            part = _parse_lines([line for line in stripped if line], linenos)
+        _check_finite(part, text, lines, consumed)
+        labels.append(part[0])
+        indptr.append(part[1] + nnz)
+        indices.append(part[2])
+        values.append(part[3])
+        nnz += part[2].size
+        consumed += text.count("\n") if lines is None else len(lines)
     labels, indptr, indices, values = map(np.concatenate, (labels, indptr, indices, values))
 
     max_idx = int(indices.max()) + 1 if indices.size else 0
@@ -350,12 +471,22 @@ def save_libsvm(ds: Dataset, path) -> None:
 
 
 def normalize_rows(ds: Dataset) -> Dataset:
-    """Scale every nonzero sample to unit Euclidean norm."""
+    """Scale every nonzero sample to unit Euclidean norm.
+
+    On CSR features the stored values are scaled in a matrix that shares the
+    index arrays.  Values that come out 0 (stored zeros, underflow) are
+    dropped from a private copy of them, as ``sp.diags(inv) @ X`` drops them.
+    """
     norms = ds.row_norms()
     inv = np.where(norms > 0, 1.0 / np.where(norms > 0, norms, 1.0), 1.0)
     if ds.is_sparse:
-        feats = sp.diags(inv) @ ds.features
-        feats = feats.tocsr()
+        feats = ds.features
+        scaled = feats.data * np.repeat(inv, np.diff(feats.indptr))
+        if scaled.all():
+            feats = sp.csr_matrix((scaled, feats.indices, feats.indptr), shape=feats.shape)
+        else:
+            feats = sp.csr_matrix((scaled, feats.indices.copy(), feats.indptr.copy()), shape=feats.shape)
+            feats.eliminate_zeros()
     else:
         feats = ds.features * inv[:, None]
     return Dataset(feats, ds.labels, ds.provenance + " | normalize_rows")

@@ -301,6 +301,158 @@ def test_chunked_parse_reads_unusual_tokens_like_reference(line):
     assert_same_parse(parse_libsvm(text), reference_parse(text))
 
 
+def fast_and_slow_decimals(seed):
+    """Decimal tokens at every edge of the digit kernel, as ``(token, fast)``:
+    ``fast`` is whether the kernel reads it, else ``np.fromstring`` does."""
+    edges = [("-0", True), ("-0.0", True), ("+.5", True), ("5.", True), (".5", True), ("+0", True),
+             ("007", True), ("-000000000000001.5", True), ("0.0000000000000001", True),
+             ("0.000000000000000001", False),  # 20 characters
+             ("123456789012345", True), ("1234567890123456", False), ("0.123456789012345", True),
+             ("0.1234567890123456", False), ("99999999999999.9", True), ("9007199254740993", False),
+             ("0000000000000000001", False), ("1e-3", False), ("-2E+2", False),
+             (repr(0.1 + 0.2), False), (repr(-1 / 3), False)]
+    rng = random.Random(seed)
+    tokens = list(edges)
+    for _ in range(3000):
+        significant = rng.randrange(1, 18)
+        digits = str(rng.randrange(1, 10)) + "".join(rng.choice("0123456789") for _ in range(significant - 1))
+        zeros = "0" * rng.choice([0, 0, 1, 3])
+        point = rng.randrange(len(digits) + 1)
+        body = zeros + digits[:point] + "." + digits[point:] if rng.random() < 0.8 else zeros + digits
+        if rng.random() < 0.05:
+            body = body.rstrip(".") if "." in body else body + "."
+        token = rng.choice(["", "", "-", "+"]) + body
+        tokens.append((token, significant <= 15 and len(token) <= 18))
+    return tokens
+
+
+def count_fromstring(monkeypatch):
+    calls = []
+    fromstring = np.fromstring
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fromstring(*args, **kwargs)
+
+    monkeypatch.setattr(np, "fromstring", counted)
+    return calls
+
+
+def test_digit_kernel_reads_decimals_to_the_bits_of_float(monkeypatch):
+    """Labels and values up to 15 significant digits are read by the kernel
+    as the bits ``float`` gives; longer ones by ``np.fromstring``, also
+    exactly."""
+    calls = count_fromstring(monkeypatch)
+    for token, fast in fast_and_slow_decimals(seed=21):
+        ds = parse_libsvm(f"{token} 3:{token}\n")
+        want = np.array([float(token)])
+        assert ds.labels.tobytes() == want.tobytes(), token
+        assert ds.features.data.tobytes() == want.tobytes(), token
+        assert len(calls) == (0 if fast else 1), token
+        calls.clear()
+    negative_zero = parse_libsvm("-0 1:1\n-0.0 1:1\n").labels
+    assert np.signbit(negative_zero).all()
+
+
+def test_chunk_mixing_kernel_and_fromstring_numbers_matches_reference(monkeypatch):
+    calls = count_fromstring(monkeypatch)
+    lines = [f"{token} 1:{token} 5:0.25 9:{other}" for (token, _fast), (other, _) in
+             zip(fast_and_slow_decimals(seed=22), fast_and_slow_decimals(seed=23)[::-1])]
+    text = "\n".join(lines) + "\n"
+    want = reference_parse(text)
+    assert_same_parse(parse_libsvm(text), want)
+    assert calls  # the chunk holds exponents and 17-digit reprs
+    calls.clear()
+    text = "\n".join(f"{token} 2:{token}" for token, fast in fast_and_slow_decimals(seed=24) if fast)
+    assert_same_parse(parse_libsvm(text), reference_parse(text))
+    assert not calls
+
+
+@pytest.mark.parametrize("token", ["-", ".", "1.2.3", "+-1", "-.", "+", "1-", "1.5+3"])
+@pytest.mark.parametrize("where", ["label", "value"])
+def test_numbers_outside_the_grammar_are_rejected_like_reference(token, where):
+    line = f"{token} 2:1.5" if where == "label" else f"1 2:{token}"
+    text = PLAIN_PREFIX + line + "\n1 1:1\n"
+    with pytest.raises(LibsvmParseError) as want:
+        reference_parse(text)
+    with pytest.raises(LibsvmParseError) as got:
+        parse_libsvm(text)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(f"line {PARSE_CHUNK_LINES + 6}: malformed ")
+
+
+def test_benchmark_shaped_text_never_calls_fromstring(monkeypatch):
+    """+/-1 labels and values rounded to 4 decimals, as the benchmark's
+    generator writes them, stay on the digit kernel."""
+    rng = np.random.default_rng(25)
+    lines = []
+    for _ in range(3000):
+        cols = np.unique(rng.integers(1, 20001, size=10))
+        vals = np.round(rng.uniform(0.5, 1.5, size=cols.size), 4)
+        features = " ".join(f"{c}:{v!r}" for c, v in zip(cols.tolist(), vals.tolist()))
+        lines.append(rng.choice(["1", "-1"]) + " " + features)
+    text = "\n".join(lines) + "\n"
+    want = reference_parse(text)
+    calls = count_fromstring(monkeypatch)
+
+    def line_at_a_time(lines, linenos):
+        raise AssertionError("plain text left the vectorised path")
+
+    monkeypatch.setattr(data_module, "_parse_lines", line_at_a_time)
+    assert_same_parse(parse_libsvm(text), want)
+    assert not calls
+
+
+def assert_same_outcome(got, want):
+    """Both calls parse to the same arrays, or both raise the same error."""
+    try:
+        expected = want()
+    except LibsvmParseError as exc:
+        with pytest.raises(LibsvmParseError) as raised:
+            got()
+        assert str(raised.value) == str(exc)
+    else:
+        assert_same_parse(got(), expected)
+
+
+BLOCK_EDGE_TEXTS = {
+    "crlf": b"1 1:0.5 3:2\r\n-1 2:1.25\r\n\r\n+1 4:-3\r\n",
+    "lone-cr": b"1 1:0.5 3:2\r-1 2:1.25\r\r+1 4:-3\r",
+    "no-trailing-newline": b"1 1:0.5 3:2\n-1 2:1.25\n+1 4:-3",
+    "long-line": b"1 " + b" ".join(b"%d:0.%04d" % (i, i) for i in range(1, 400)) + b"\n-1 7:1\n",
+    "blank-lines": b"\n\n  \n1 1:1\n\t\n\n \r\n-1 2:2\n\n\n\n+1 3:3\n\n  \n",
+    "padded": b"  1 1:1  \n\t-1\t2:2\t\r\n \r 1 3:3 \r\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_EDGE_TEXTS))
+@pytest.mark.parametrize("block", [1, 3, 16, 1 << 19])
+def test_bulk_reads_match_reference_at_every_block_edge(tmp_path, monkeypatch, name, block):
+    monkeypatch.setattr(data_module, "READ_BLOCK_CHARS", block)
+    raw = BLOCK_EDGE_TEXTS[name]
+    path = tmp_path / "data.svm"
+    path.write_bytes(raw)
+    with open(path) as handle:  # universal newlines, as load_libsvm reads
+        want = reference_parse(handle)
+    assert_same_parse(load_libsvm(path), want)
+    text = raw.decode()  # a string keeps a lone carriage return inside its line
+    for source in (text, io.StringIO(text)):
+        assert_same_outcome(lambda: parse_libsvm(source), lambda: reference_parse(text))
+    # The same text, then a blank line, a bad line and a good one: the error
+    # names the bad line, whether it leaves the vectorised path or not.
+    for bad, fragment in ((b"1 2:1 1:1", "does not increase"), (b"1 1:1e999", "not finite")):
+        path.write_bytes(raw + (b"" if raw.endswith((b"\n", b"\r")) else b"\n") + b"\n" + bad + b"\n1 1:1\n")
+        with open(path) as handle:
+            lineno = sum(1 for _ in handle) - 1
+        with pytest.raises(LibsvmParseError) as got:
+            load_libsvm(path)
+        assert str(got.value).startswith(f"line {lineno}: ") and fragment in str(got.value)
+        if fragment != "not finite":  # the reference reads inf without a line
+            with open(path) as handle, pytest.raises(LibsvmParseError) as want:
+                reference_parse(handle)
+            assert str(got.value) == str(want.value)
+
+
 def test_normalize_rows_simple():
     ds = Dataset(np.array([[3.0, 4.0], [0.0, 0.0]]), np.array([1.0, -1.0]))
     out = normalize_rows(ds)
@@ -326,6 +478,32 @@ def test_normalize_rows_sparse_matches_dense():
     a = normalize_rows(ds).dense_features()
     b = normalize_rows(dense).features
     np.testing.assert_allclose(a, b, atol=1e-14)
+
+
+def test_csr_normalize_rows_equals_the_diagonal_product_to_the_bit():
+    """The stored values scaled in place of ``sp.diags(inv) @ X``, which
+    drops stored zeros and products that underflow to 0."""
+    rng = make_rng(26)
+    mat = sp.random(60, 40, density=0.2, random_state=np.random.RandomState(26), format="csr")
+    mat.data = rng.standard_normal(mat.nnz)
+    mat.data[::9] = 0.0
+    mat.data[1::9] = 5e-324
+    mat.data[2::11] = 1e12
+    mat.data[3::13] = 1e200  # norms that overflow: the row scales to 0
+    for features in (mat, sp.csr_matrix((4, 3)), sp.csr_matrix(np.eye(3))):
+        ds = Dataset(features, np.zeros(features.shape[0]))
+        before = [getattr(ds.features, name).copy() for name in ("data", "indices", "indptr")]
+        norms = ds.row_norms()
+        inv = np.where(norms > 0, 1.0 / np.where(norms > 0, norms, 1.0), 1.0)
+        want = Dataset((sp.diags(inv) @ ds.features).tocsr(), ds.labels)
+        got = normalize_rows(ds)
+        assert_same_parse(got, want)
+        for name, array in zip(("data", "indices", "indptr"), before):
+            np.testing.assert_array_equal(getattr(ds.features, name), array)
+    ds = Dataset(sp.csr_matrix(np.eye(3)), np.zeros(3))
+    got = normalize_rows(ds).features
+    assert np.shares_memory(got.indices, ds.features.indices)
+    assert np.shares_memory(got.indptr, ds.features.indptr)
 
 
 def test_standardize_two_point_column():
@@ -411,8 +589,7 @@ def test_random_features_gaussian_kernel():
 @pytest.mark.parametrize("sparse", [False, True])
 def test_random_features_work_in_the_projection_buffer(kind, sparse):
     """The map holds one n x D matrix: NumPy allocations peak at 1.1x the
-    output plus the input (the Dataset's finiteness check adds an n x D
-    boolean mask, 1/8 of the output).  Buffers inside BLAS are not traced."""
+    output plus the input.  Buffers inside BLAS are not traced."""
     rng = make_rng(15)
     dense = rng.standard_normal((4000, 50))
     ds = Dataset(sp.csr_matrix(dense) if sparse else dense, np.zeros(4000))
@@ -445,6 +622,40 @@ def test_csr_with_duplicate_entries_sums_them():
     assert ds.features.nnz == 3
     np.testing.assert_array_equal(ds.dense_features(), [[2.0, 0.0, 5.0], [0.0, -3.0, 0.0]])
     np.testing.assert_array_equal(ds.row_norms(), np.sqrt([29.0, 9.0]))
+
+
+@pytest.mark.parametrize(
+    "data, indices, indptr",
+    [([1.0, 2.0], [2, 0], [0, 2]), ([1.0, 2.0, 4.0], [2, 0, 2], [0, 3])],
+    ids=["unsorted", "duplicate"],
+)
+def test_dataset_leaves_the_callers_csr_matrix_as_it_was(data, indices, indptr):
+    mat = sp.csr_matrix((np.array(data), np.array(indices), np.array(indptr)), shape=(1, 3))
+    copies = [mat.data.copy(), mat.indices.copy(), mat.indptr.copy()]
+    ds = Dataset(mat, np.zeros(1))
+    for got, want in zip((mat.data, mat.indices, mat.indptr), copies):
+        np.testing.assert_array_equal(got, want)
+    assert ds.features is not mat
+    np.testing.assert_array_equal(ds.dense_features(), mat.toarray())
+
+
+def test_dataset_keeps_a_canonical_csr_matrix_without_copying():
+    mat = sp.csr_matrix(np.eye(3))
+    assert Dataset(mat, np.zeros(3)).features is mat
+
+
+def test_dense_finiteness_check_allocates_no_matrix_sized_mask():
+    rng = make_rng(27)
+    dense = rng.standard_normal((4000, 50))
+    labels = np.zeros(4000)
+    _ds, peak = reference.traced_peak(Dataset, dense, labels)
+    assert peak < dense.nbytes / 32
+    for bad in (np.nan, np.inf, -np.inf):
+        broken = dense.copy()
+        broken[1234, 7] = bad
+        with pytest.raises(ValueError, match="dataset contains non-finite feature values"):
+            Dataset(broken, labels)
+    assert Dataset(np.zeros((0, 3)), np.zeros(0)).n == 0
 
 
 def test_split_sizes_and_reproducibility():
