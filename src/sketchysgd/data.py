@@ -7,33 +7,35 @@ strictly increasing feature indices no larger than 2^63 - 1 and finite
 numbers; anything else raises :class:`LibsvmParseError` with its line.  All
 transforms are pure: they return new datasets and never mutate their input.
 
-:func:`parse_libsvm` reads a string or text stream in blocks of
-:data:`READ_BLOCK_CHARS` characters, each cut after its last newline, so
-text mode keeps its universal newlines and decode errors; an iterable of
-lines is taken :data:`PARSE_CHUNK_LINES` items at a time, one line per item.
-When every line of a chunk is plain (blank, or ``label idx:val ...`` in ASCII
-number fields between spaces, tabs and carriage returns), NumPy finds its
-tokens and checks its structure, and one digit kernel reads the indices,
-labels and values right-aligned, one byte column at a time across all
-tokens.  A label or value ``[+-]?digits[.digits]`` of at most 15 significant
-digits is ``±M / 10**k`` with M and ``10**k`` exact in float64, so the one
-correctly rounded division gives the bits of ``float`` (Clinger's fast
-path).  A chunk with another number (an exponent, 16 or more significant
-digits, more than 18 characters) reads its labels and values with one
-``np.fromstring`` call, which also gives the bits of ``float``.  Any other
-chunk goes line by line through ``_parse_line``, the one statement of the
-line grammar, which raises the error with its line number or reads the
-unusual but legal tokens (``+3:1``, ``1:1_0``).  All paths give the same
-arrays to the bit.
+:func:`parse_libsvm` reads a string or a text stream; a string is read as
+an ``io.StringIO``.  The stream is read in blocks of :data:`READ_BLOCK_CHARS`
+characters, each cut after its last newline, so text mode keeps its
+universal newlines and decode errors.  ``_parse_line`` is the one statement
+of the line grammar, finiteness included: it reads the unusual but legal
+tokens (``+3:1``, ``1:1_0``) and raises the error of the first faulty token
+with its line number.  ``_parse_plain`` reads a block in NumPy when every
+line is plain (blank, or ``label idx:val ...`` in ASCII number fields
+between spaces, tabs and carriage returns, with finite numbers): it finds
+the tokens and checks their structure, and one digit kernel reads the
+indices, labels and values right-aligned, one byte column at a time across
+all tokens.  A label or value ``[+-]?digits[.digits]`` of at most 15
+significant digits is ``±M / 10**k`` with M and ``10**k`` exact in float64,
+so the one correctly rounded division gives the bits of ``float`` (Clinger's
+fast path).  A block with another number (an exponent, 16 or more
+significant digits, more than 18 characters) reads its labels and values
+with one ``np.fromstring`` call, which also gives the bits of ``float``.
+``_parse_plain`` either returns the arrays of ``_parse_line`` to the bit or
+hands the whole block to it, so the first faulty line is named whatever the
+block size.
 """
 
 from __future__ import annotations
 
 import gzip
-import itertools
+import io
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -143,6 +145,8 @@ def _parse_line(line: str, lineno: int):
         label = float(parts[0])
     except ValueError:
         raise LibsvmParseError(f"line {lineno}: malformed label token {parts[0]!r}") from None
+    if not math.isfinite(label):
+        raise LibsvmParseError(f"line {lineno}: label {label!r} is not finite")
     idxs = []
     vals = []
     prev = 0
@@ -166,22 +170,21 @@ def _parse_line(line: str, lineno: int):
             raise LibsvmParseError(
                 f"line {lineno}: feature index {idx} does not increase past {prev}"
             )
+        if not math.isfinite(val):
+            raise LibsvmParseError(f"line {lineno}: feature value {val!r} is not finite")
         prev = idx
         idxs.append(idx - 1)
         vals.append(val)
     return label, idxs, vals
 
 
-#: Lines per chunk when the source is an iterable of lines.
-PARSE_CHUNK_LINES = 1 << 12
-
-#: Characters per ``read`` of a text stream (or slice of a string); each
-#: block is cut after its last newline.  Blocks of 2**17 to 2**20 characters
-#: parse a file equally fast; smaller ones pay NumPy's per-call cost more
-#: often, and larger ones only hold more memory.
+#: Characters per ``read`` of a text stream; each block is cut after its
+#: last newline.  Blocks of 2**17 to 2**20 characters parse a file equally
+#: fast; smaller ones pay NumPy's per-call cost more often, and larger ones
+#: only hold more memory.
 READ_BLOCK_CHARS = 1 << 19
 
-# The bytes of a plain libsvm chunk; any other byte leaves it to _parse_line.
+# The bytes of a plain libsvm block; any other byte leaves it to _parse_line.
 _PLAIN_BYTES = b"0123456789.eE+-: \t\r\n"
 
 #: The widest token the digit kernel reads: 18 digits fit int64.
@@ -243,8 +246,10 @@ def _parse_plain(text: str):
     carriage returns, where the label has no colon, each feature token has
     exactly one colon with a non-empty field on either side, each index is
     ASCII digits worth 1 to 10**18 - 1, indices rise within a row, and every
-    label and value is one number made of ``[0-9.eE+-]``.  Returns None
-    otherwise, so that ``_parse_line`` parses (or rejects) the lines.
+    label and value is one finite number made of ``[0-9.eE+-]``; the arrays
+    are then those of ``_parse_line``, to the bit.  Returns None otherwise,
+    so that ``_parse_line`` parses (or rejects) the lines: this function
+    never decides an error.
 
     Labels and values of the form ``[+-]?digits[.digits]`` with at most 15
     significant digits are ``±M / 10**k`` with M and ``10**k`` exact in
@@ -317,18 +322,21 @@ def _parse_plain(text: str):
                 numbers = np.fromstring(fields.tobytes(), sep=" ")
         except (ValueError, DeprecationWarning):
             return None
-        if numbers.size != starts.size:
+        if numbers.size != starts.size or not _all_finite(numbers):
             return None
     return numbers[is_label], row_ends, index - 1, numbers[~is_label]
 
 
-def _parse_lines(lines: list[str], linenos: list[int]):
-    """:func:`_parse_plain`'s result, one :func:`_parse_line` call per line."""
+def _parse_lines(text: str, consumed: int):
+    """:func:`_parse_plain`'s result, one :func:`_parse_line` call per
+    non-blank line of ``text``, which follows ``consumed`` lines."""
     labels: list[float] = []
     row_ends: list[int] = []
     indices: list[int] = []
     values: list[float] = []
-    for line, lineno in zip(lines, linenos):
+    for lineno, line in enumerate(text[:-1].split("\n"), start=consumed + 1):
+        if not (line := line.strip()):
+            continue
         label, idxs, vals = _parse_line(line, lineno)
         labels.append(label)
         indices.extend(idxs)
@@ -342,94 +350,45 @@ def _parse_lines(lines: list[str], linenos: list[int]):
     )
 
 
-def _whole_lines(blocks):
-    """Join and cut blocks of text so that each piece ends after a newline;
-    the last piece takes the rest, with a newline added if it has none."""
+def _whole_lines(stream):
+    """Read a text stream :data:`READ_BLOCK_CHARS` characters at a time and
+    yield pieces that each end after a newline; the last piece takes the
+    rest, with a newline added if it has none."""
     pending: list[str] = []
-    block = next(blocks, "")
-    while block:
-        following = next(blocks, "")
-        if not following:
-            text = "".join(pending) + block
-            yield text if text.endswith("\n") else text + "\n"
-        elif cut := block.rfind("\n") + 1:
+    while block := stream.read(READ_BLOCK_CHARS):
+        if cut := block.rfind("\n") + 1:
             yield "".join(pending) + block[:cut]
             pending = [block[cut:]]
         else:
             pending.append(block)
-        block = following
-
-
-def _chunks(source):
-    """The lines of a libsvm source, in chunks of whole lines.
-
-    Yields ``(text, lines)``.  ``text`` holds the chunk's lines, each ending
-    in a newline.  A text stream is read :data:`READ_BLOCK_CHARS` characters
-    at a time, a string is sliced the same way, and each block is cut after
-    its last newline; ``lines`` is None.  An iterable gives
-    :data:`PARSE_CHUNK_LINES` items at a time, each one line even if it
-    holds a newline; ``lines`` are the stripped items, and ``text`` joins
-    them, or is None if an item holds a newline.
-    """
-    if isinstance(source, str):
-        size = READ_BLOCK_CHARS
-        for text in _whole_lines(source[at:at + size] for at in range(0, len(source), size)):
-            yield text, None
-    elif hasattr(source, "read"):
-        for text in _whole_lines(iter(lambda: source.read(READ_BLOCK_CHARS), "")):
-            yield text, None
-    else:
-        items = iter(source)
-        while lines := [raw.strip() for raw in itertools.islice(items, PARSE_CHUNK_LINES)]:
-            text = "\n".join(lines) + "\n"
-            yield (text if text.count("\n") == len(lines) else None), lines
-
-
-def _check_finite(part, text: str, lines: list[str] | None, consumed: int) -> None:
-    """Reject the first line of a parsed chunk that holds a non-finite number."""
-    labels, row_ends, _indices, values = part
-    if _all_finite(labels) and _all_finite(values):
-        return
-    bad_labels, bad_values = ~np.isfinite(labels), ~np.isfinite(values)
-    value_rows = np.searchsorted(row_ends, np.flatnonzero(bad_values), side="right")
-    row = min(np.flatnonzero(bad_labels)[:1].tolist() + value_rows[:1].tolist())
-    if bad_labels[row]:
-        what = f"label {float(labels[row])!r}"
-    else:
-        first = int(np.flatnonzero(bad_values)[0])
-        what = f"feature value {float(values[first])!r}"
-    lines = text[:-1].split("\n") if lines is None else lines
-    linenos = [consumed + i for i, line in enumerate(lines, start=1) if line.strip()]
-    raise LibsvmParseError(f"line {linenos[row]}: {what} is not finite")
+    if rest := "".join(pending):
+        yield rest + "\n"
 
 
 def parse_libsvm(source, num_features: int | None = None) -> Dataset:
     """Parse libsvm text into a sparse dataset.
 
-    ``source`` may be a string, a text stream, or an iterable of lines.  The
-    feature count defaults to the largest index seen; pass ``num_features``
-    to override (needed when trailing features are absent from the data).
+    ``source`` may be a string or a text stream.  The feature count defaults
+    to the largest index seen; pass ``num_features`` to override (needed when
+    trailing features are absent from the data).
     """
-    name = "<string>" if isinstance(source, str) else getattr(source, "name", "<stream>")
+    if isinstance(source, str):
+        name, source = "<string>", io.StringIO(source)
+    else:
+        name = getattr(source, "name", "<stream>")
     labels = [np.empty(0)]
     indptr = [np.zeros(1, dtype=np.int64)]
     indices = [np.empty(0, dtype=np.int64)]
     values = [np.empty(0)]
     nnz = consumed = 0
-    for text, lines in _chunks(source):
-        part = None if text is None else _parse_plain(text)
-        if part is None:
-            lines = text[:-1].split("\n") if lines is None else lines
-            stripped = [line.strip() for line in lines]
-            linenos = [consumed + i for i, line in enumerate(stripped, start=1) if line]
-            part = _parse_lines([line for line in stripped if line], linenos)
-        _check_finite(part, text, lines, consumed)
+    for text in _whole_lines(source):
+        part = _parse_plain(text) or _parse_lines(text, consumed)
         labels.append(part[0])
         indptr.append(part[1] + nnz)
         indices.append(part[2])
         values.append(part[3])
         nnz += part[2].size
-        consumed += text.count("\n") if lines is None else len(lines)
+        consumed += text.count("\n")
     labels, indptr, indices, values = map(np.concatenate, (labels, indptr, indices, values))
 
     max_idx = int(indices.max()) + 1 if indices.size else 0
@@ -443,12 +402,12 @@ def parse_libsvm(source, num_features: int | None = None) -> Dataset:
 
 
 def load_libsvm(path, num_features: int | None = None) -> Dataset:
-    """Read a libsvm file, transparently decompressing ``.gz`` paths."""
+    """Read a libsvm file, transparently decompressing ``.gz`` paths; the
+    dataset's provenance is the path."""
     path = str(path)
     opener = gzip.open if path.endswith(".gz") else open
     with opener(path, "rt") as handle:
-        ds = parse_libsvm(handle, num_features=num_features)
-    return replace(ds, provenance=path)
+        return parse_libsvm(handle, num_features=num_features)
 
 
 def serialize_libsvm(ds: Dataset) -> str:

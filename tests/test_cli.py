@@ -471,8 +471,10 @@ def test_validate_rejects_auto_where_nothing_resolves_it(workspace, capsys, key)
          "9223372036854775807"),
         ("-1 1:nan", "line 2: feature value nan is not finite"),
         ("nan 1:1", "line 2: label nan is not finite"),
+        # one read block: the first faulty line is named, not the malformed one
+        ("-1 1:1e999\n" + "1 1:1\n" * 5 + "1 nocolon", "line 2: feature value inf is not finite"),
     ],
-    ids=["index-above-int64", "nan-value", "nan-label"],
+    ids=["index-above-int64", "nan-value", "nan-label", "inf-value-before-malformed-line"],
 )
 def test_data_errors_exit_2_with_one_line(tmp_path, capsys, command, bad_line, reason):
     (tmp_path / "bad.svm").write_text("1 1:0.5 2:1\n" + bad_line + "\n")

@@ -8,7 +8,6 @@ import scipy.sparse as sp
 
 from sketchysgd import data as data_module
 from sketchysgd.data import (
-    PARSE_CHUNK_LINES,
     Dataset,
     FeatureMap,
     LibsvmParseError,
@@ -94,6 +93,15 @@ def test_load_libsvm_gzip(tmp_path):
     a = load_libsvm(raw, num_features=6)
     b = load_libsvm(zipped, num_features=6)
     assert (a.features != b.features).nnz == 0
+
+
+@pytest.mark.parametrize("name", ["data.svm", "data.svm.gz"])
+def test_load_libsvm_provenance_is_the_path(tmp_path, name):
+    path = tmp_path / name
+    raw = b"1 1:0.5\n-1 2:1\n"
+    path.write_bytes(gzip.compress(raw) if name.endswith(".gz") else raw)
+    for given in (path, str(path)):
+        assert load_libsvm(given).provenance == str(path)
 
 
 # The line-at-a-time parser that the chunked one replaced, kept as the
@@ -202,28 +210,33 @@ def random_libsvm_text(n_lines, seed):
     return "".join(lines)
 
 
+#: Lines that put the line after them deep inside one read block.
+DEEP_LINES = 4096
+#: A read block that puts that line in a later block.
+SMALL_BLOCK = 1 << 10
+
+
 def test_chunked_parse_matches_reference_on_every_source(tmp_path, monkeypatch):
-    text = random_libsvm_text(2 * PARSE_CHUNK_LINES + 2000, seed=5)
+    text = random_libsvm_text(2 * DEEP_LINES + 2000, seed=5)
     want = reference_parse(text)
-    assert want.n > 2 * PARSE_CHUNK_LINES
+    assert want.n > 2 * DEEP_LINES
     raw = tmp_path / "data.svm"
     raw.write_bytes(text.encode())
     zipped = tmp_path / "data.svm.gz"
     zipped.write_bytes(gzip.compress(text.encode()))
 
-    def line_at_a_time(lines, linenos):
+    def line_at_a_time(text, consumed):
         raise AssertionError("plain text left the vectorised path")
 
     monkeypatch.setattr(data_module, "_parse_lines", line_at_a_time)
     assert_same_parse(parse_libsvm(text), want)
     assert_same_parse(parse_libsvm(io.StringIO(text)), want)
-    assert_same_parse(parse_libsvm(text.split("\n")), want)
     assert_same_parse(load_libsvm(raw), want)
     assert_same_parse(load_libsvm(zipped), want)
     assert_same_parse(parse_libsvm(text, num_features=80000), reference_parse(text, num_features=80000))
 
 
-PLAIN_PREFIX = "1 1:0.5 7:2\n-1\n" * (PARSE_CHUNK_LINES // 2) + "1 3:1\n" * 5
+PLAIN_PREFIX = "1 1:0.5 7:2\n-1\n" * (DEEP_LINES // 2) + "1 3:1\n" * 5
 
 
 @pytest.mark.parametrize(
@@ -245,24 +258,16 @@ PLAIN_PREFIX = "1 1:0.5 7:2\n-1\n" * (PARSE_CHUNK_LINES // 2) + "1 3:1\n" * 5
         "1 0:1\n1 99999999999999999999:1",
     ],
 )
-def test_chunked_parse_rejects_like_reference(line):
+def test_chunked_parse_rejects_like_reference(monkeypatch, line):
     text = PLAIN_PREFIX + line + "\n1 1:1\n"
     with pytest.raises(LibsvmParseError) as want:
         reference_parse(text)
-    with pytest.raises(LibsvmParseError) as got:
-        parse_libsvm(text)
-    assert str(got.value) == str(want.value)
-    assert f"line {PARSE_CHUNK_LINES + 6}:" in str(got.value)
-
-
-def test_chunked_parse_keeps_embedded_newlines_in_one_line():
-    # An item of an iterable source is one line even if it holds a newline.
-    lines = PLAIN_PREFIX.splitlines() + ["1 2:1\n-1 3:1", "1 1:1"]
-    with pytest.raises(LibsvmParseError) as want:
-        reference_parse(lines)
-    with pytest.raises(LibsvmParseError) as got:
-        parse_libsvm(lines)
-    assert str(got.value) == str(want.value) == f"line {PARSE_CHUNK_LINES + 6}: malformed token '-1'"
+    for block in (data_module.READ_BLOCK_CHARS, SMALL_BLOCK):
+        monkeypatch.setattr(data_module, "READ_BLOCK_CHARS", block)
+        with pytest.raises(LibsvmParseError) as got:
+            parse_libsvm(text)
+        assert str(got.value) == str(want.value)
+        assert f"line {DEEP_LINES + 6}:" in str(got.value)
 
 
 @pytest.mark.parametrize("index", ["99999999999999999999", str(2**63)])
@@ -272,7 +277,7 @@ def test_chunked_parse_rejects_overflowing_index(index):
     with pytest.raises(LibsvmParseError) as got:
         parse_libsvm(text)
     assert str(got.value) == (
-        f"line {PARSE_CHUNK_LINES + 6}: feature index {index} exceeds the largest supported "
+        f"line {DEEP_LINES + 6}: feature index {index} exceeds the largest supported "
         f"index {2**63 - 1}"
     )
     assert parse_libsvm(f"1 {2**63 - 1}:1\n").p == 2**63 - 1
@@ -288,11 +293,13 @@ def test_chunked_parse_rejects_overflowing_index(index):
         ("inf", "label inf"),
     ],
 )
-def test_parse_rejects_non_finite_numbers_with_their_line(line, what):
+def test_parse_rejects_non_finite_numbers_with_their_line(monkeypatch, line, what):
     text = PLAIN_PREFIX + "\n" + line + "\n-1 1:nan\n"
-    with pytest.raises(LibsvmParseError) as got:
-        parse_libsvm(text)
-    assert str(got.value) == f"line {PARSE_CHUNK_LINES + 7}: {what} is not finite"
+    for block in (data_module.READ_BLOCK_CHARS, SMALL_BLOCK):
+        monkeypatch.setattr(data_module, "READ_BLOCK_CHARS", block)
+        with pytest.raises(LibsvmParseError) as got:
+            parse_libsvm(text)
+        assert str(got.value) == f"line {DEEP_LINES + 7}: {what} is not finite"
 
 
 @pytest.mark.parametrize("line", ["1 +3:1", "1 1:1_0", "1 3:١", "1\x1c2:1", "1 1:1\r2:2"])
@@ -378,7 +385,7 @@ def test_numbers_outside_the_grammar_are_rejected_like_reference(token, where):
     with pytest.raises(LibsvmParseError) as got:
         parse_libsvm(text)
     assert str(got.value) == str(want.value)
-    assert str(got.value).startswith(f"line {PARSE_CHUNK_LINES + 6}: malformed ")
+    assert str(got.value).startswith(f"line {DEEP_LINES + 6}: malformed ")
 
 
 def test_benchmark_shaped_text_never_calls_fromstring(monkeypatch):
@@ -395,7 +402,7 @@ def test_benchmark_shaped_text_never_calls_fromstring(monkeypatch):
     want = reference_parse(text)
     calls = count_fromstring(monkeypatch)
 
-    def line_at_a_time(lines, linenos):
+    def line_at_a_time(text, consumed):
         raise AssertionError("plain text left the vectorised path")
 
     monkeypatch.setattr(data_module, "_parse_lines", line_at_a_time)
@@ -451,6 +458,80 @@ def test_bulk_reads_match_reference_at_every_block_edge(tmp_path, monkeypatch, n
             with open(path) as handle, pytest.raises(LibsvmParseError) as want:
                 reference_parse(handle)
             assert str(got.value) == str(want.value)
+
+
+# Faulty lines and the error each raises, after its ``line N: ``.
+FUZZ_FAULTS = [
+    ("1 nocolon", "malformed token 'nocolon'"),
+    ("1 2:abc", "malformed token '2:abc'"),
+    ("1 4:1 4:2", "feature index 4 does not increase past 4"),
+    ("1 3:1 2:1", "feature index 2 does not increase past 3"),
+    ("1 0:1", "feature indices are 1-based, got 0"),
+    (f"1 {2**63}:1", f"feature index {2**63} exceeds the largest supported index {2**63 - 1}"),
+    ("-1 1:1e999", "feature value inf is not finite"),
+    ("nan 1:1", "label nan is not finite"),
+    ("inf 2:1", "label inf is not finite"),
+]
+# Faults the reference does not name: it reads non-finite numbers, and an
+# index above 2**63 - 1 escapes it as an OverflowError.
+FUZZ_FAULTS_UNKNOWN_TO_REFERENCE = {f"1 {2**63}:1", "-1 1:1e999", "nan 1:1", "inf 2:1"}
+
+
+def fuzz_libsvm_text(rng):
+    """A short libsvm text with 0-2 faulty lines, the error that names its
+    first faulty line (None if it has none), and its faulty lines that the
+    reference does not name."""
+    lines = []
+    for _ in range(rng.randrange(1, 12)):
+        if rng.random() < 0.15:
+            lines.append((rng.choice(["", "  ", "\t", " \t "]), None))
+            continue
+        tokens = [rng.choice(["1", "-1", "+1", "0.5", "-3.25", "1e-3"])]
+        for idx in sorted(rng.sample(range(1, 40), rng.randrange(5))):
+            head = f"+{idx}" if rng.random() < 0.1 else str(idx)
+            tail = rng.choice(["1", "0.25", "-7.5", "1e-3", "0.12345678901234567", "1_0"])
+            tokens.append(f"{head}:{tail}")
+        line = rng.choice([" ", "\t", "  "]).join(tokens)
+        lines.append((f"  {line}\t " if rng.random() < 0.2 else line, None))
+    for _ in range(rng.randrange(3)):
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(FUZZ_FAULTS))
+    text = "".join(line + rng.choice(["\n", "\n", "\r\n"]) for line, _ in lines)
+    if rng.random() < 0.2:
+        text = text.rstrip("\r\n")
+    first = next((f"line {n}: {error}" for n, (_, error) in enumerate(lines, start=1) if error), None)
+    return text, first, {line for line, _ in lines} & FUZZ_FAULTS_UNKNOWN_TO_REFERENCE
+
+
+def parse_outcome(parse):
+    """The arrays a parse gives, as bytes, or the message of its error."""
+    try:
+        ds = parse()
+    except LibsvmParseError as exc:
+        return str(exc)
+    arrays = (ds.features.data, ds.features.indices, ds.features.indptr, ds.labels)
+    return ds.features.shape, tuple((a.dtype.str, a.tobytes()) for a in arrays)
+
+
+def test_parse_fuzz_names_the_first_faulty_line_on_every_source_and_block(tmp_path, monkeypatch):
+    rng = random.Random(2024)
+    path = tmp_path / "fuzz.svm"
+    for _ in range(300):
+        text, first_error, unknown_to_reference = fuzz_libsvm_text(rng)
+        path.write_bytes(text.encode())
+        outcomes = set()
+        for block in (5, 7, 64, 4096, 2**19):
+            monkeypatch.setattr(data_module, "READ_BLOCK_CHARS", block)
+            outcomes.add(parse_outcome(lambda: parse_libsvm(text)))
+            outcomes.add(parse_outcome(lambda: parse_libsvm(io.StringIO(text))))
+            outcomes.add(parse_outcome(lambda: load_libsvm(path)))
+        assert len(outcomes) == 1, text
+        (outcome,) = outcomes
+        if first_error is not None:
+            assert outcome == first_error, text
+        else:
+            assert not isinstance(outcome, str), text
+        if not unknown_to_reference:
+            assert parse_outcome(lambda: reference_parse(text)) == outcome, text
 
 
 def test_normalize_rows_simple():
