@@ -323,8 +323,22 @@ def validate_config(config: dict, base_dir: Path) -> list[str]:
 # loading and resolution
 
 
-def _apply_preprocessing(ds: Dataset, steps) -> tuple[Dataset, Dataset | None]:
-    train, test = ds, None
+def load_problem(config: dict, base_dir: Path):
+    """Load the dataset, run the preprocessing chain, and build the oracle.
+
+    Each stage's input is released as soon as the stage has replaced it: the
+    chain rebinds ``train``, so the parsed matrix is gone before a split.
+    """
+    spec = config["dataset"]
+    path = (base_dir / spec["path"]).expanduser()
+    train = load_libsvm(path, num_features=spec.get("num_features"))
+    for count, what in ((train.n, "samples"), (train.p, "features")):
+        if count == 0:
+            raise ConfigError([f"dataset: {path} holds no {what}"])
+    steps = config.get("preprocessing", [])
+    if train.n == 1 and any("split" in step for step in steps):
+        raise ConfigError([f"dataset: {path} holds one sample; a split needs at least two"])
+    test = None
     for step in steps:
         name, args = next(iter(step.items()))
         if name == "normalize_rows":
@@ -346,21 +360,6 @@ def _apply_preprocessing(ds: Dataset, steps) -> tuple[Dataset, Dataset | None]:
             test = random_features(test, fmap) if test is not None else None
         elif name == "split":
             train, test = split(train, args["fraction"], args.get("seed", 0))
-    return train, test
-
-
-def load_problem(config: dict, base_dir: Path):
-    """Load the dataset, run the preprocessing chain, and build the oracle."""
-    spec = config["dataset"]
-    path = (base_dir / spec["path"]).expanduser()
-    ds = load_libsvm(path, num_features=spec.get("num_features"))
-    for count, what in ((ds.n, "samples"), (ds.p, "features")):
-        if count == 0:
-            raise ConfigError([f"dataset: {path} holds no {what}"])
-    steps = config.get("preprocessing", [])
-    if ds.n == 1 and any("split" in step for step in steps):
-        raise ConfigError([f"dataset: {path} holds one sample; a split needs at least two"])
-    train, test = _apply_preprocessing(ds, steps)
     l2 = config.get("l2", AUTO)
     if l2 == AUTO:
         l2 = 1e-2 / train.n

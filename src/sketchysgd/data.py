@@ -7,13 +7,16 @@ strictly increasing feature indices no larger than 2^63 - 1 and finite
 numbers; anything else raises :class:`LibsvmParseError` with its line.  All
 transforms are pure: they return new datasets and never mutate their input.
 
-:func:`parse_libsvm` reads a string or a text stream; a string is read as
-an ``io.StringIO``.  The stream is read in blocks of :data:`READ_BLOCK_CHARS`
-characters, each cut after its last newline, so text mode keeps its
-universal newlines and decode errors.  ``_parse_line`` is the one statement
-of the line grammar, finiteness included: it reads the unusual but legal
-tokens (``+3:1``, ``1:1_0``) and raises the error of the first faulty token
-with its line number.  ``_parse_plain`` reads a block in NumPy when every
+:func:`parse_libsvm` reads a string or a text stream; a string is read
+through its UTF-8 bytes.  The stream is read in blocks of
+:data:`READ_BLOCK_CHARS` characters, each cut after its last newline, so text
+mode keeps its universal newlines and decode errors.  Each block is written
+into the result's arrays, so the parse holds the result and one block's
+working set, and the result's indices are int32 while they fit.
+``_parse_line`` is the one statement of the line grammar, finiteness
+included: it reads the unusual but legal tokens (``+3:1``, ``1:1_0``) and
+raises the error of the first faulty token with its line number.
+``_parse_plain`` reads a block in NumPy when every
 line is plain (blank, or ``label idx:val ...`` in ASCII number fields
 between spaces, tabs and carriage returns, with finite numbers): it finds
 the tokens and checks their structure, and one digit kernel reads the
@@ -180,8 +183,8 @@ def _parse_line(line: str, lineno: int):
 
 #: Characters per ``read`` of a text stream; each block is cut after its
 #: last newline.  Blocks of 2**17 to 2**20 characters parse a file equally
-#: fast; smaller ones pay NumPy's per-call cost more often, and larger ones
-#: only hold more memory.
+#: fast; smaller ones pay NumPy's per-call cost more often.  A block's working
+#: set is about 11.4 bytes per character (6.0 MB at 2**19, tracemalloc).
 READ_BLOCK_CHARS = 1 << 19
 
 # The bytes of a plain libsvm block; any other byte leaves it to _parse_line.
@@ -241,7 +244,7 @@ def _read_decimals(raw: np.ndarray, ends: np.ndarray, widths: np.ndarray, max_di
 def _parse_plain(text: str):
     """Vectorised :func:`_parse_line` over whole lines ending in a newline.
 
-    Returns ``(labels, row_ends, indices, values)`` when every line is plain:
+    Returns ``(labels, row_ends, indices, values, lines)`` when every line is plain:
     blank, or ``label idx:val ...`` between runs of spaces, tabs and
     carriage returns, where the label has no colon, each feature token has
     exactly one colon with a non-empty field on either side, each index is
@@ -273,7 +276,7 @@ def _parse_plain(text: str):
     # The first token of a line is its label, the others its features.
     is_label = np.zeros(starts.size + 1, dtype=bool)
     is_label[0] = True
-    is_label[np.searchsorted(starts, np.flatnonzero(raw == ord("\n")))] = True
+    is_label[np.searchsorted(starts, newlines := np.flatnonzero(raw == ord("\n")))] = True
     is_label = is_label[:-1]
     labels_at = np.flatnonzero(is_label)
     features_at = np.flatnonzero(~is_label)
@@ -324,17 +327,15 @@ def _parse_plain(text: str):
             return None
         if numbers.size != starts.size or not _all_finite(numbers):
             return None
-    return numbers[is_label], row_ends, index - 1, numbers[~is_label]
+    return numbers[is_label], row_ends, index - 1, numbers[~is_label], newlines.size
 
 
 def _parse_lines(text: str, consumed: int):
     """:func:`_parse_plain`'s result, one :func:`_parse_line` call per
     non-blank line of ``text``, which follows ``consumed`` lines."""
-    labels: list[float] = []
-    row_ends: list[int] = []
-    indices: list[int] = []
-    values: list[float] = []
-    for lineno, line in enumerate(text[:-1].split("\n"), start=consumed + 1):
+    labels, row_ends, indices, values = [], [], [], []
+    lines = text[:-1].split("\n")
+    for lineno, line in enumerate(lines, start=consumed + 1):
         if not (line := line.strip()):
             continue
         label, idxs, vals = _parse_line(line, lineno)
@@ -342,12 +343,8 @@ def _parse_lines(text: str, consumed: int):
         indices.extend(idxs)
         values.extend(vals)
         row_ends.append(len(indices))
-    return (
-        np.asarray(labels, dtype=np.float64),
-        np.asarray(row_ends, dtype=np.int64),
-        np.asarray(indices, dtype=np.int64),
-        np.asarray(values, dtype=np.float64),
-    )
+    return (np.asarray(labels, dtype=np.float64), np.asarray(row_ends, dtype=np.int64),
+            np.asarray(indices, dtype=np.int64), np.asarray(values, dtype=np.float64), len(lines))
 
 
 def _whole_lines(stream):
@@ -365,39 +362,52 @@ def _whole_lines(stream):
         yield rest + "\n"
 
 
+def _put(buf: np.ndarray, at: int, part: np.ndarray) -> np.ndarray:
+    """Write ``part`` into ``buf[at:]`` and return the buffer: grown in place
+    by a quarter when full, and widened to int64, once, when an int32 buffer
+    meets an integer that does not fit it."""
+    if buf.dtype == np.int32 and part.size and part.max() > np.iinfo(np.int32).max:
+        buf = buf.astype(np.int64)
+    end = at + part.size
+    if end > buf.size:
+        buf.resize(max(end, buf.size + buf.size // 4), refcheck=False)
+    buf[at:end] = part
+    return buf
+
+
 def parse_libsvm(source, num_features: int | None = None) -> Dataset:
     """Parse libsvm text into a sparse dataset.
 
     ``source`` may be a string or a text stream.  The feature count defaults
     to the largest index seen; pass ``num_features`` to override (needed when
-    trailing features are absent from the data).
+    trailing features are absent from the data).  The parse holds the result
+    and one block's working set (see the module docstring).
     """
     if isinstance(source, str):
-        name, source = "<string>", io.StringIO(source)
+        # Read as UTF-8 bytes, 1 to 4 per character where io.StringIO holds
+        # 4; "surrogatepass" carries lone surrogates through both ways.
+        name = "<string>"
+        source = io.TextIOWrapper(io.BytesIO(source.encode("utf-8", "surrogatepass")),
+                                  encoding="utf-8", errors="surrogatepass", newline="")
     else:
         name = getattr(source, "name", "<stream>")
-    labels = [np.empty(0)]
-    indptr = [np.zeros(1, dtype=np.int64)]
-    indices = [np.empty(0, dtype=np.int64)]
-    values = [np.empty(0)]
-    nnz = consumed = 0
+    labels, indptr, indices, values = np.empty(0), np.zeros(1, np.int32), np.empty(0, np.int32), np.empty(0)
+    n = nnz = lines = 0
     for text in _whole_lines(source):
-        part = _parse_plain(text) or _parse_lines(text, consumed)
-        labels.append(part[0])
-        indptr.append(part[1] + nnz)
-        indices.append(part[2])
-        values.append(part[3])
-        nnz += part[2].size
-        consumed += text.count("\n")
-    labels, indptr, indices, values = map(np.concatenate, (labels, indptr, indices, values))
+        part = _parse_plain(text) or _parse_lines(text, lines)
+        labels = _put(labels, n, part[0])
+        indptr = _put(indptr, n + 1, part[1] + nnz)
+        indices = _put(indices, nnz, part[2])
+        values = _put(values, nnz, part[3])
+        n, nnz, lines = n + part[0].size, nnz + part[2].size, lines + part[4]
+    for buf, size in ((labels, n), (indptr, n + 1), (indices, nnz), (values, nnz)):
+        buf.resize(size, refcheck=False)
 
     max_idx = int(indices.max()) + 1 if indices.size else 0
     p = max_idx if num_features is None else int(num_features)
     if num_features is not None and max_idx > p:
-        raise LibsvmParseError(
-            f"feature index {max_idx} exceeds the declared feature count {p}"
-        )
-    mat = sp.csr_matrix((values, indices, indptr), shape=(labels.size, p))
+        raise LibsvmParseError(f"feature index {max_idx} exceeds the declared feature count {p}")
+    mat = sp.csr_matrix((values, indices, indptr), shape=(n, p))
     return Dataset(mat, labels, provenance=str(name))
 
 

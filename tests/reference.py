@@ -10,6 +10,8 @@ form their own margin products.
 it: one row-major Gaussian draw factored by ``np.linalg.qr``.
 
 :func:`traced_peak` measures the NumPy allocations of one call.
+
+:func:`zipf_libsvm_text` writes libsvm text shaped like the benchmark's.
 """
 
 import tracemalloc
@@ -78,3 +80,20 @@ def traced_peak(fn, *args, **kwargs):
         return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def zipf_libsvm_text(n, p, draws_per_row, seed):
+    """libsvm text of ``n`` rows: each row draws ``draws_per_row`` of ``p``
+    columns from the Zipf popularity law and keeps the distinct ones, with
+    +/-1 labels and values on [0.5, 1.5] rounded to 4 decimals."""
+    rng = np.random.default_rng(seed)
+    popularity = 1.0 / np.arange(1, p + 1)
+    cols = rng.choice(p, size=(n, draws_per_row), p=popularity / popularity.sum()) + 1
+    cols.sort(axis=1)
+    keep = np.ones(cols.shape, dtype=bool)
+    keep[:, 1:] = cols[:, 1:] != cols[:, :-1]
+    values = np.round(rng.uniform(0.5, 1.5, size=cols.shape), 4)
+    labels = rng.choice(["1", "-1"], size=n).tolist()
+    return "".join(
+        label + "".join(f" {c}:{v!r}" for c, v in zip(row[k].tolist(), vals[k].tolist())) + "\n"
+        for label, row, vals, k in zip(labels, cols, values, keep))

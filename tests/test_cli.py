@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import itertools
 import json
 import math
 import platform
 import re
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 import scipy
 
 from sketchysgd import cli
+from sketchysgd import data as data_module
 from sketchysgd.cli import file_sha256, main, records_to_csv, validate_config
 from sketchysgd.data import load_libsvm, save_libsvm, split
 from sketchysgd.nystrom import SketchNotPsdError
@@ -24,6 +27,8 @@ from sketchysgd.optimizers import (
     resolve_config,
 )
 from sketchysgd.synthetic import gaussian_dataset, planted_least_squares
+
+import reference
 
 
 @pytest.fixture
@@ -338,6 +343,45 @@ def test_logistic_pipeline_with_split_and_features(tmp_path):
     assert all(cell != "" for cell in last)  # accuracy and test columns populated
     acc = float(last[4])
     assert 0.0 <= acc <= 1.0
+
+
+@pytest.fixture
+def zipf_problem(tmp_path, monkeypatch):
+    """A benchmark-shaped logistic file and a normalize_rows, split chain; the
+    file is read in blocks whose working set is small beside its data."""
+    monkeypatch.setattr(data_module, "READ_BLOCK_CHARS", 1 << 14)
+    (tmp_path / "zipf.svm").write_text(reference.zipf_libsvm_text(20000, 20000, 10, seed=9))
+    config = {"dataset": {"path": "zipf.svm"}, "task": "logistic", "optimizers": [{"name": "sgd"}],
+              "preprocessing": [{"normalize_rows": {}}, {"split": {"fraction": 0.8, "seed": 0}}]}
+    return tmp_path, config
+
+
+def test_load_problem_holds_about_twice_its_result(zipf_problem):
+    tmp_path, config = zipf_problem
+    (oracle, test, _path), peak = reference.traced_peak(cli.load_problem, config, tmp_path)
+    held = sum(ds.features.data.nbytes + ds.features.indices.nbytes + ds.features.indptr.nbytes
+               + ds.labels.nbytes for ds in (oracle.data, test))
+    assert peak <= 2.3 * held
+
+
+def test_load_problem_drops_the_parsed_dataset_before_the_split(zipf_problem, monkeypatch):
+    tmp_path, config = zipf_problem
+    parsed = []
+
+    def load(*args, **kwargs):
+        ds = load_libsvm(*args, **kwargs)
+        parsed.append(weakref.ref(ds))
+        return ds
+
+    def split_once_the_parse_is_gone(ds, fraction, seed):
+        gc.collect()
+        assert parsed[0]() is None
+        return split(ds, fraction, seed)
+
+    monkeypatch.setattr(cli, "load_libsvm", load)
+    monkeypatch.setattr(cli, "split", split_once_the_parse_is_gone)
+    cli.load_problem(config, tmp_path)
+    assert len(parsed) == 1
 
 
 def test_records_to_csv_empty_cells_for_ridge():

@@ -534,6 +534,61 @@ def test_parse_fuzz_names_the_first_faulty_line_on_every_source_and_block(tmp_pa
             assert parse_outcome(lambda: reference_parse(text)) == outcome, text
 
 
+def result_bytes(*datasets):
+    return sum(ds.features.data.nbytes + ds.features.indices.nbytes + ds.features.indptr.nbytes
+               + ds.labels.nbytes for ds in datasets)
+
+
+#: A read block whose working set is small beside a few MB of result.
+MEMORY_BLOCK = 1 << 14
+
+
+def test_parse_holds_its_result_and_one_block(tmp_path, monkeypatch):
+    monkeypatch.setattr(data_module, "READ_BLOCK_CHARS", MEMORY_BLOCK)
+    path = tmp_path / "zipf.svm"
+    path.write_text(reference.zipf_libsvm_text(20000, 20000, 10, seed=7))
+    ds, peak = reference.traced_peak(load_libsvm, path)
+    assert ds.features.indices.dtype == ds.features.indptr.dtype == np.int32
+    assert peak <= 2.0 * result_bytes(ds)
+
+
+def test_str_source_costs_its_utf8_bytes(tmp_path, monkeypatch):
+    """A string is read through its UTF-8 bytes, not 4 bytes per character."""
+    monkeypatch.setattr(data_module, "READ_BLOCK_CHARS", MEMORY_BLOCK)
+    text = reference.zipf_libsvm_text(10000, 20000, 10, seed=8)
+    path = tmp_path / "zipf.svm"
+    path.write_text(text)
+    from_file, file_peak = reference.traced_peak(load_libsvm, path)
+    from_str, str_peak = reference.traced_peak(parse_libsvm, text)
+    assert_same_parse(from_str, from_file)
+    assert str_peak <= file_peak + 1.5 * len(text)
+
+
+@pytest.mark.parametrize("text", [
+    "1 1:0.5\r\n-1 2:1\r\n", "1 1:0.5\r-1 2:1\r", "1 1:1\r2:2\n", "1 3:\u0661\n1 1:1\n",
+    "1 1:1 # caf\u00e9\n", "\u00e9 1:1\n", "1 1:1\n\ud800 2:1\n", "1 1:1\udfff\n",
+    "1 2:1\n\ud83d\ude00\n", "\U0001f600\n", "1 1:1\u2028-1 2:1\n",
+])
+def test_str_source_reads_like_a_string_stream(monkeypatch, text):
+    """Line ends, non-ASCII text and lone surrogates in a string give the
+    arrays, or the error and its line, of the same text read as a stream."""
+    for block in (2, data_module.READ_BLOCK_CHARS):
+        monkeypatch.setattr(data_module, "READ_BLOCK_CHARS", block)
+        assert parse_outcome(lambda: parse_libsvm(text)) == parse_outcome(
+            lambda: parse_libsvm(io.StringIO(text)))
+
+
+def test_index_past_int32_in_a_later_block_widens_the_indices(tmp_path, monkeypatch):
+    monkeypatch.setattr(data_module, "READ_BLOCK_CHARS", SMALL_BLOCK)
+    text = PLAIN_PREFIX + f"1 5:1 {2**31 + 1}:2.5\n-1 3:1\n"
+    path = tmp_path / "wide.svm"
+    path.write_text(text)
+    got = load_libsvm(path)
+    assert got.features.indices.dtype == np.int64
+    assert got.features.indices[-3:].tolist() == [4, 2**31, 2]
+    assert_same_parse(got, reference_parse(text))
+
+
 def test_normalize_rows_simple():
     ds = Dataset(np.array([[3.0, 4.0], [0.0, 0.0]]), np.array([1.0, -1.0]))
     out = normalize_rows(ds)
