@@ -9,12 +9,15 @@ Three subcommands share one JSON config document::
 Exit codes: 0 ok, 2 config or data error (including a malformed libsvm
 line, a feature index above 2^63 - 1, a non-finite label or value, a data
 file with no samples or no features, a repeated seed, a logistic label
-other than +-1 in either split, a ``rho`` whose reciprocal overflows
+other than +-1 in either split, a preprocessing step that the library
+rejects on the loaded data, such as a random-features map that overflows
+(``preprocessing[i]: <reason>``), a ``rho`` whose reciprocal overflows
 float64, an ``"auto"`` ``rho`` or step size on a zero or infinite
-smoothness bound, and an output directory that names an existing file;
-each is one ``config error: ...`` line), 3 runtime or divergence error, 4
-dense diagnostic caps exceeded.  Jobs run one after another, in the order
-of the manifest.  A ``run`` job that diverges or whose sketch or step-size
+smoothness bound, a ``diagnose`` iterate that is unreadable or not a
+finite float vector of length p, and an output directory that names an
+existing file; each is one ``config error: ...`` line, and nothing is
+written), 3 runtime or divergence error, 4 dense diagnostic caps exceeded.
+Jobs run one after another, in the order of the manifest.  A ``run`` job that diverges or whose sketch or step-size
 powering fails does not stop the others: the manifest is still written,
 and gives each job a ``status`` (``ok``, ``diverged`` with its records in
 ``<file>.csv.partial``, or ``failed`` with no file) and a one-line
@@ -50,11 +53,24 @@ optimizer) min(256, n); ``hess_batch_size`` floor(sqrt(n)); ``update_freq``
 never for ridge (as does ``"inf"``) and ceil(n/grad_batch_size) for
 logistic; ``stage_length`` ceil(n/grad_batch_size); ``learning_rate``
 re-estimated at every refresh for SketchySGD and max(1/(3L), 1/(2(L +
-n*l2))) for SGD and SVRG.  Each setting, overrides included, must pass
-``optimizers.settings_problems``, the rules the library applies: counts are
-whole numbers >= 1 (3.0 counts), seeds integers >= 0, and every number
-finite.  ``validate`` and ``run`` resolve every (optimizer, seed) job before
-the first one starts: a setting that does not fit the data, such as a rank
+n*l2))) for SGD and SVRG.
+
+Each value, overrides included, has one rule: the entry for its key in the
+rule table of the library function that takes it (``optimizers.SETTING_RULES``,
+``oracles.ORACLE_RULES``, ``data.FEATURE_MAP_RULES``, ``data.SPLIT_RULES``,
+``data.PARSE_RULES``); the function raises ``ValueError`` on the first value
+that breaks it, and ``validate_config`` reads the same tables, and tables of
+its own for the keys only the CLI reads, to list every problem before any
+data is read.  An object accepts the keys of its table.  Counts are whole
+numbers >= 1 (3.0 counts), while ``dim``, ``num_features`` and ``top_m``,
+which size arrays, are integers >= 1 (3.0 does not); seeds are integers >= 0;
+every number but ``eval_every`` is finite, and ``random_features.bandwidth``
+is positive with a finite reciprocal.  A problem reads ``<key> must be
+<what>, got <value>``, prefixed by ``dataset.``, ``diagnose.``,
+``preprocessing[i]: <step>.`` or ``optimizers[i]: ``.
+
+``validate`` and ``run`` resolve every (optimizer, seed) job before the
+first one starts: a setting that does not fit the data, such as a rank
 above p or a batch size above n, is a config error,
 ``optimizers[i] (<label>): <reason>``, and ``run`` then writes no file.
 
@@ -79,7 +95,11 @@ import numpy as np
 import scipy
 
 from . import __version__
+from ._rules import number, rule_problems, shape
 from .data import (
+    FEATURE_MAP_RULES,
+    PARSE_RULES,
+    SPLIT_RULES,
     Dataset,
     FeatureMap,
     LibsvmParseError,
@@ -96,6 +116,7 @@ from .nystrom import SketchNotPsdError
 from .optimizers import (
     AUTO,
     BASELINE_FIELDS,
+    SETTING_RULES,
     DivergenceError,
     LearningRateError,
     MetricsRecord,
@@ -108,7 +129,7 @@ from .optimizers import (
     sketchysgd_theoretical_run,
     svrg_run,
 )
-from .oracles import ProblemOracle
+from .oracles import ORACLE_RULES, ProblemOracle
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -137,14 +158,55 @@ class ConfigError(ValueError):
 # validation
 
 
-def _is_num(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+# Per config object, what each key's value must be and its test; an object
+# accepts the keys of its table.  A value that a library function takes has
+# the rule of that function's table.
+_CONFIG_RULES = {
+    "dataset": ("an object", lambda x: isinstance(x, dict)),
+    "task": ORACLE_RULES["task"],
+    "preprocessing": ("a list", lambda x: isinstance(x, list)),
+    "l2": (f"{ORACLE_RULES['l2'][0]} or 'auto'", ORACLE_RULES["l2"][1]),
+    "optimizers": ("a nonempty list", lambda x: isinstance(x, list) and x != []),
+    "seeds": ("a nonempty list", lambda x: isinstance(x, list) and x != []),
+    "max_passes": SETTING_RULES["max_passes"],
+    "eval_every": SETTING_RULES["eval_every"],
+    "output_dir": ("a string", lambda x: isinstance(x, str)),
+    "save_iterates": ("a boolean", lambda x: isinstance(x, bool)),
+    "diagnose": ("an object", lambda x: isinstance(x, dict)),
+}
+_DATASET_RULES = {
+    "path": ("a nonempty string", lambda x: isinstance(x, str) and x != ""),
+    "format": ("'libsvm'", lambda x: x == "libsvm"),
+    "num_features": PARSE_RULES["num_features"],
+}
+# per step, its table and the keys it requires
+_STEP_RULES = {
+    "normalize_rows": ({}, ()),
+    "standardize": ({}, ()),
+    "random_features": (FEATURE_MAP_RULES, ("kind", "dim")),
+    "split": (SPLIT_RULES, ("fraction",)),
+}
+_DIAGNOSE_RULES = {
+    "top_m": ("a positive integer", shape),
+    "betas": ("a list of positive numbers",
+              lambda x: isinstance(x, list) and all(number(b) > 0 for b in x)),
+    "compute_tau": ("a boolean", lambda x: isinstance(x, bool)),
+    "iterates": ("a list of paths", lambda x: isinstance(x, list)
+                 and all(isinstance(q, str) for q in x)),
+}
+
+
+def _object_problems(tag: str, rules: dict, obj: dict, required=()) -> list[str]:
+    """The keys of ``obj`` outside ``rules``, then every value that fails its
+    rule, a missing ``required`` key read as None: ``<tag>.<key> must be ...``,
+    or ``<key> must be ...`` at the top level (``tag`` empty)."""
+    extra = sorted(set(obj) - set(rules))
+    problems = [f"{tag or 'config'}: unknown keys {extra}"] if extra else []
+    values = {**dict.fromkeys(required), **obj}
+    return problems + [f"{tag}.{p}" if tag else p for p in rule_problems(rules, values)]
 
 
 def _validate_preprocessing(steps, problems):
-    if not isinstance(steps, list):
-        problems.append("preprocessing: must be a list of single-key objects")
-        return
     seen_split = False
     for i, step in enumerate(steps):
         tag = f"preprocessing[{i}]"
@@ -152,39 +214,18 @@ def _validate_preprocessing(steps, problems):
             problems.append(f"{tag}: each step must be an object with exactly one key")
             continue
         name, args = next(iter(step.items()))
+        if name not in _STEP_RULES:
+            problems.append(f"{tag}: unknown step {name!r}")
+            continue
         if not isinstance(args, dict):
             problems.append(f"{tag}: step arguments must be an object")
-            continue
-        if name in ("normalize_rows", "standardize"):
-            if args:
-                problems.append(f"{tag}: {name} takes no arguments")
-        elif name == "random_features":
-            kind = args.get("kind")
-            if kind not in ("rff-cosine", "relu"):
-                problems.append(f"{tag}: random_features.kind must be 'rff-cosine' or 'relu'")
-            if not isinstance(args.get("dim"), int) or args.get("dim", 0) < 1:
-                problems.append(f"{tag}: random_features.dim must be a positive integer")
-            if "bandwidth" in args and not (_is_num(args["bandwidth"]) and args["bandwidth"] > 0):
-                problems.append(f"{tag}: random_features.bandwidth must be a positive number")
-            if not isinstance(args.get("seed", 0), int):
-                problems.append(f"{tag}: random_features.seed must be an integer")
-            extra = set(args) - {"kind", "dim", "bandwidth", "seed"}
-            if extra:
-                problems.append(f"{tag}: unknown random_features keys {sorted(extra)}")
-        elif name == "split":
-            frac = args.get("fraction")
-            if not (_is_num(frac) and 0.0 < frac < 1.0):
-                problems.append(f"{tag}: split.fraction must lie strictly between 0 and 1")
-            if not isinstance(args.get("seed", 0), int):
-                problems.append(f"{tag}: split.seed must be an integer")
-            extra = set(args) - {"fraction", "seed"}
-            if extra:
-                problems.append(f"{tag}: unknown split keys {sorted(extra)}")
+        else:
+            rules, required = _STEP_RULES[name]
+            problems.extend(_object_problems(f"{tag}: {name}", rules, args, required))
+        if name == "split":
             if seen_split:
                 problems.append(f"{tag}: only one split step is allowed")
             seen_split = True
-        else:
-            problems.append(f"{tag}: unknown step {name!r}")
 
 
 def _validate_optimizer(spec, i, problems):
@@ -217,50 +258,28 @@ def _settings(spec: dict) -> dict:
 
 def validate_config(config: dict, base_dir: Path) -> list[str]:
     """Collect every schema violation; an empty list means the config is valid."""
-    problems: list[str] = []
     if not isinstance(config, dict):
         return ["config: top level must be a JSON object"]
+    problems = _object_problems("", _CONFIG_RULES, config, ("dataset", "task", "optimizers", "seeds"))
 
     dataset = config.get("dataset")
-    if not isinstance(dataset, dict):
-        problems.append("dataset: required object with a 'path' field")
-    else:
+    if isinstance(dataset, dict):
+        problems.extend(_object_problems("dataset", _DATASET_RULES, dataset, ("path",)))
         path = dataset.get("path")
-        if not isinstance(path, str) or not path:
-            problems.append("dataset.path: required string")
-        else:
-            resolved = (base_dir / path).expanduser()
-            if not resolved.exists():
-                problems.append(f"dataset.path: file not found: {resolved}")
-        if dataset.get("format", "libsvm") != "libsvm":
-            problems.append("dataset.format: only 'libsvm' is supported")
-        if "num_features" in dataset and (
-            not isinstance(dataset["num_features"], int) or dataset["num_features"] < 1
-        ):
-            problems.append("dataset.num_features: must be a positive integer")
-        extra = set(dataset) - {"path", "format", "num_features"}
-        if extra:
-            problems.append(f"dataset: unknown keys {sorted(extra)}")
+        if isinstance(path, str) and path and not (resolved := (base_dir / path).expanduser()).is_file():
+            problems.append(f"dataset.path: file not found: {resolved}")
 
-    if config.get("task") not in ("ridge", "logistic"):
-        problems.append("task: required, 'ridge' or 'logistic'")
-
-    if "preprocessing" in config:
+    if isinstance(config.get("preprocessing"), list):
         _validate_preprocessing(config["preprocessing"], problems)
 
-    l2 = config.get("l2", AUTO)
-    if not (l2 == AUTO or (_is_num(l2) and 0 <= l2 < math.inf)):
-        problems.append("l2: must be a finite nonnegative number or 'auto'")
-
     optimizers = config.get("optimizers")
-    if not isinstance(optimizers, list) or not optimizers:
-        problems.append("optimizers: required nonempty list")
-    else:
+    if isinstance(optimizers, list):
         labels = []
         for i, spec in enumerate(optimizers):
             _validate_optimizer(spec, i, problems)
-            if isinstance(spec, dict):
-                labels.append(spec.get("label", spec.get("name")))
+            # a label or name that is not a string is reported above
+            if isinstance(spec, dict) and isinstance(label := spec.get("label", spec.get("name")), str):
+                labels.append(label)
         dup = {x for x in labels if labels.count(x) > 1}
         if dup:
             problems.append(
@@ -268,54 +287,20 @@ def validate_config(config: dict, base_dir: Path) -> list[str]:
             )
 
     seeds = config.get("seeds")
-    if not isinstance(seeds, list) or not seeds:
-        problems.append("seeds: required nonempty list of integers")
-    elif bad := [f"seeds: {p}" for seed in seeds for p in settings_problems({"seed": seed})]:
-        problems.extend(bad)
-    elif len(set(seeds)) < len(seeds):
-        dup = sorted({s for s in seeds if seeds.count(s) > 1})
-        problems.append(f"seeds: duplicate seeds {dup}; each seed names its own output files")
+    if isinstance(seeds, list):
+        if bad := [f"seeds: {p}" for seed in seeds for p in settings_problems({"seed": seed})]:
+            problems.extend(bad)
+        elif len(set(seeds)) < len(seeds):
+            dup = sorted({s for s in seeds if seeds.count(s) > 1})
+            problems.append(f"seeds: duplicate seeds {dup}; each seed names its own output files")
 
-    if "max_passes" in config:
-        problems.extend(settings_problems({"max_passes": config["max_passes"]}))
-    if "eval_every" in config and not (_is_num(config["eval_every"]) and config["eval_every"] > 0):
-        problems.append("eval_every: must be a positive number")
-    if "output_dir" in config and not isinstance(config["output_dir"], str):
-        problems.append("output_dir: must be a string")
-    if "save_iterates" in config and not isinstance(config["save_iterates"], bool):
-        problems.append("save_iterates: must be a boolean")
-
-    if "diagnose" in config:
-        diag = config["diagnose"]
-        if not isinstance(diag, dict):
-            problems.append("diagnose: must be an object")
-        else:
-            if "top_m" in diag and (not isinstance(diag["top_m"], int) or diag["top_m"] < 1):
-                problems.append("diagnose.top_m: must be a positive integer")
-            if "betas" in diag and not (
-                isinstance(diag["betas"], list) and all(_is_num(b) and b > 0 for b in diag["betas"])
-            ):
-                problems.append("diagnose.betas: must be a list of positive numbers")
-            if "compute_tau" in diag and not isinstance(diag["compute_tau"], bool):
-                problems.append("diagnose.compute_tau: must be a boolean")
-            if "iterates" in diag:
-                if not isinstance(diag["iterates"], list):
-                    problems.append("diagnose.iterates: must be a list of paths")
-                else:
-                    for q in diag["iterates"]:
-                        if not isinstance(q, str) or not (base_dir / q).expanduser().exists():
-                            problems.append(f"diagnose.iterates: file not found: {q}")
-            extra = set(diag) - {"top_m", "betas", "compute_tau", "iterates"}
-            if extra:
-                problems.append(f"diagnose: unknown keys {sorted(extra)}")
-
-    known = {
-        "dataset", "task", "preprocessing", "l2", "optimizers", "seeds",
-        "max_passes", "eval_every", "output_dir", "save_iterates", "diagnose",
-    }
-    extra = set(config) - known
-    if extra:
-        problems.append(f"config: unknown top-level keys {sorted(extra)}")
+    diag = config.get("diagnose")
+    if isinstance(diag, dict):
+        problems.extend(_object_problems("diagnose", _DIAGNOSE_RULES, diag))
+        iterates = diag.get("iterates")
+        for q in iterates if isinstance(iterates, list) else ():
+            if isinstance(q, str) and not (base_dir / q).expanduser().is_file():
+                problems.append(f"diagnose.iterates: file not found: {q}")
     return problems
 
 
@@ -327,7 +312,9 @@ def load_problem(config: dict, base_dir: Path):
     """Load the dataset, run the preprocessing chain, and build the oracle.
 
     Each stage's input is released as soon as the stage has replaced it: the
-    chain rebinds ``train``, so the parsed matrix is gone before a split.
+    chain rebinds ``train``, so the parsed matrix is gone before a split.  A
+    step that raises ``ValueError`` on the loaded data is the config error
+    ``preprocessing[i]: <reason>``.
     """
     spec = config["dataset"]
     path = (base_dir / spec["path"]).expanduser()
@@ -339,27 +326,30 @@ def load_problem(config: dict, base_dir: Path):
     if train.n == 1 and any("split" in step for step in steps):
         raise ConfigError([f"dataset: {path} holds one sample; a split needs at least two"])
     test = None
-    for step in steps:
-        name, args = next(iter(step.items()))
-        if name == "normalize_rows":
-            train = normalize_rows(train)
-            test = normalize_rows(test) if test is not None else None
-        elif name == "standardize":
-            stats = standardization_stats(train)
-            train = standardize(train, stats)
-            test = standardize(test, stats) if test is not None else None
-        elif name == "random_features":
-            fmap = FeatureMap.create(
-                kind=args["kind"],
-                dim=args["dim"],
-                input_dim=train.p,
-                seed=args.get("seed", 0),
-                bandwidth=args.get("bandwidth", 1.0),
-            )
-            train = random_features(train, fmap)
-            test = random_features(test, fmap) if test is not None else None
-        elif name == "split":
-            train, test = split(train, args["fraction"], args.get("seed", 0))
+    try:
+        for i, step in enumerate(steps):
+            name, args = next(iter(step.items()))
+            if name == "normalize_rows":
+                train = normalize_rows(train)
+                test = normalize_rows(test) if test is not None else None
+            elif name == "standardize":
+                stats = standardization_stats(train)
+                train = standardize(train, stats)
+                test = standardize(test, stats) if test is not None else None
+            elif name == "random_features":
+                fmap = FeatureMap.create(
+                    kind=args["kind"],
+                    dim=args["dim"],
+                    input_dim=train.p,
+                    seed=args.get("seed", 0),
+                    bandwidth=args.get("bandwidth", 1.0),
+                )
+                train = random_features(train, fmap)
+                test = random_features(test, fmap) if test is not None else None
+            elif name == "split":
+                train, test = split(train, args["fraction"], args.get("seed", 0))
+    except ValueError as exc:
+        raise ConfigError([f"preprocessing[{i}]: {exc}"]) from exc
     l2 = config.get("l2", AUTO)
     if l2 == AUTO:
         l2 = 1e-2 / train.n
@@ -625,13 +615,19 @@ def cmd_diagnose(args) -> int:
         OptimizerConfig(seed=config["seeds"][0]),
     )
     diag = config.get("diagnose", {})
-    out_dir = Path(config.get("output_dir", "results"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     points = [("initial", np.zeros(oracle.p))]
     for q in diag.get("iterates", []):
-        path = (base_dir / q).expanduser()
-        points.append((Path(q).stem, np.load(path)))
+        try:
+            with open((base_dir / q).expanduser(), "rb") as fh:
+                w = np.load(fh, allow_pickle=False)
+            if not (isinstance(w, np.ndarray) and w.dtype.kind == "f" and w.shape == (oracle.p,)
+                    and np.isfinite(w).all()):
+                raise ValueError(f"must be a finite float vector of length {oracle.p}")
+        except (OSError, EOFError, ValueError) as exc:
+            raise ConfigError([f"diagnose.iterates: {q}: {exc}"]) from exc
+        points.append((Path(q).stem, w))
+    out_dir = Path(config.get("output_dir", "results"))
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     for tag, w in points:
         report = conditioning_report(

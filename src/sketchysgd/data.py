@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from ._rules import SEED, check_rules, number, positive, shape
 from .linalg import DiagnosticCapError, EIGH_DIM_CAP, eigh_small
 
 
@@ -375,6 +376,11 @@ def _put(buf: np.ndarray, at: int, part: np.ndarray) -> np.ndarray:
     return buf
 
 
+#: What :func:`parse_libsvm` takes from a caller, per key: what a value must
+#: be and its test.
+PARSE_RULES = {"num_features": ("a positive integer or None", lambda x: x is None or shape(x))}
+
+
 def parse_libsvm(source, num_features: int | None = None) -> Dataset:
     """Parse libsvm text into a sparse dataset.
 
@@ -383,6 +389,7 @@ def parse_libsvm(source, num_features: int | None = None) -> Dataset:
     trailing features are absent from the data).  The parse holds the result
     and one block's working set (see the module docstring).
     """
+    check_rules(PARSE_RULES, num_features=num_features)
     if isinstance(source, str):
         # Read as UTF-8 bytes, 1 to 4 per character where io.StringIO holds
         # 4; "surrogatepass" carries lone surrogates through both ways.
@@ -486,6 +493,18 @@ def standardize(ds: Dataset, stats: StandardizeStats) -> Dataset:
     return Dataset(out, ds.labels, ds.provenance + " | standardize")
 
 
+#: What :meth:`FeatureMap.create` takes from a caller, per key: what a value
+#: must be and its test.  NumPy takes only integers as shapes, and the
+#: weights are divided by the bandwidth.
+FEATURE_MAP_RULES = {
+    "kind": ("'rff-cosine' or 'relu'", lambda x: x in ("rff-cosine", "relu")),
+    "dim": ("a positive integer", shape),
+    "bandwidth": ("a positive finite number with a finite reciprocal",
+                  lambda x: positive(x) and 1.0 / number(x) < math.inf),
+    "seed": SEED,
+}
+
+
 @dataclass(frozen=True)
 class FeatureMap:
     """Frozen random-features transform.
@@ -505,15 +524,12 @@ class FeatureMap:
 
     @staticmethod
     def create(kind: str, dim: int, input_dim: int, seed: int, bandwidth: float = 1.0) -> "FeatureMap":
-        if kind not in ("rff-cosine", "relu"):
-            raise ValueError(f"unknown feature map kind {kind!r}")
-        if dim < 1:
-            raise ValueError("feature dimension must be positive")
-        if bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+        check_rules(FEATURE_MAP_RULES, kind=kind, dim=dim, bandwidth=bandwidth, seed=seed)
         rng = np.random.Generator(np.random.PCG64(seed))
         if kind == "rff-cosine":
-            weights = rng.standard_normal((input_dim, dim)) / bandwidth
+            # weights past the float range end in random_features' output check
+            with np.errstate(over="ignore"):
+                weights = rng.standard_normal((input_dim, dim)) / bandwidth
             offsets = rng.uniform(0.0, 2.0 * np.pi, size=dim)
         else:
             weights = rng.standard_normal((input_dim, dim)) / math.sqrt(input_dim)
@@ -522,8 +538,13 @@ class FeatureMap:
                           weights=weights, offsets=offsets)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def random_features(ds: Dataset, fmap: FeatureMap) -> Dataset:
-    """Apply a frozen feature map; the result is dense with ``fmap.dim`` columns."""
+    """Apply a frozen feature map; the result is dense with ``fmap.dim`` columns.
+
+    A map that overflows on the data raises the ``ValueError`` of
+    :class:`Dataset`'s finiteness check, and no warning.
+    """
     if fmap.weights.shape[0] != ds.p:
         raise ValueError(
             f"feature map expects {fmap.weights.shape[0]} input features, dataset has {ds.p}"
@@ -541,10 +562,17 @@ def random_features(ds: Dataset, fmap: FeatureMap) -> Dataset:
     return Dataset(out, ds.labels, ds.provenance + note)
 
 
+#: What :func:`split` takes from a caller, per key: what a value must be and
+#: its test.
+SPLIT_RULES = {
+    "fraction": ("a number strictly between 0 and 1", lambda x: 0 < number(x) < 1),
+    "seed": SEED,
+}
+
+
 def split(ds: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Disjoint random train/test partition, reproducible from the seed."""
-    if not 0.0 < fraction < 1.0:
-        raise ValueError("split fraction must lie strictly between 0 and 1")
+    check_rules(SPLIT_RULES, fraction=fraction, seed=seed)
     if ds.n < 2:
         raise ValueError("need at least two samples to split")
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -59,7 +59,6 @@ sweep (see :func:`estimate_learning_rate`), with
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -67,6 +66,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
+from ._rules import AUTO, SEED, check_rules, count, number, positive, rule_problems
 from .data import Dataset
 from .linalg import Rng, make_rng
 from .nystrom import (
@@ -77,8 +77,6 @@ from .nystrom import (
     rand_nys_approx,
 )
 from .oracles import ProblemOracle, sample_batch
-
-AUTO = "auto"
 
 
 class DivergenceError(RuntimeError):
@@ -112,7 +110,7 @@ class OptimizerConfig:
     ``learning_rate`` is ``None`` (practical mode: re-estimated at every
     preconditioner refresh), a float (held fixed, no estimation cost), or
     ``"auto"`` in theoretical mode (estimated once per refresh, then fixed).
-    :func:`settings_problems` states what each field accepts, and
+    :data:`SETTING_RULES` states what each field accepts, and
     ``BASELINE_FIELDS`` which fields the SGD and SVRG baselines read.
     """
 
@@ -166,54 +164,30 @@ class RunResult:
 BASELINE_FIELDS = ("learning_rate", "grad_batch_size", "max_passes", "seed")
 
 
-def _number(x) -> float:
-    """``x`` as a float if it is a number in float range other than a bool, else nan."""
-    try:
-        return float(x) if isinstance(x, numbers.Real) and not isinstance(x, bool) else math.nan
-    except OverflowError:
-        return math.nan
-
-
-def _count(x) -> bool:
-    """A whole number >= 1: 3 or 3.0, not 2.5, ``True`` or ``"3"``."""
-    return _number(x).is_integer() and x >= 1
-
-
-def _positive(x) -> bool:
-    return 0 < _number(x) < math.inf
-
-
-#: Per field, what a value must be and its test.  A field takes "auto" where
-#: its description offers it, so that the two cannot disagree.
-_RULES = {
+#: Per setting a runner takes (the fields of :class:`OptimizerConfig` and
+#: the runners' ``eval_every``), what a value must be and its test.
+SETTING_RULES = {
     **dict.fromkeys(("rank", "grad_batch_size", "hess_batch_size", "stage_length"),
-                    ("a positive integer or 'auto'", _count)),
-    "power_iters": ("a positive integer", _count),
-    "rho": ("a positive finite number or 'auto'", _positive),
-    **dict.fromkeys(("lr_scale", "max_passes"), ("a positive finite number", _positive)),
+                    ("a positive integer or 'auto'", count)),
+    "power_iters": ("a positive integer", count),
+    "rho": ("a positive finite number or 'auto'", positive),
+    **dict.fromkeys(("lr_scale", "max_passes"), ("a positive finite number", positive)),
     "update_freq": ("an integer >= 1, 'inf', or 'auto'",
-                    lambda x: x == "inf" or _number(x) == math.inf or _count(x)),
+                    lambda x: x == "inf" or number(x) == math.inf or count(x)),
     "learning_rate": ("a finite number >= 0, None, or 'auto'",
-                      lambda x: x is None or 0 <= _number(x) < math.inf),
-    "seed": ("an integer >= 0",
-             lambda x: isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= 0),
+                      lambda x: x is None or 0 <= number(x) < math.inf),
+    "seed": SEED,
     "mode": ("'practical' or 'theoretical'", lambda x: x in ("practical", "theoretical")),
+    # infinite for the staged runner, which records at every stage end
+    "eval_every": ("a positive number", lambda x: number(x) > 0),
 }
 
 
 def settings_problems(settings) -> list[str]:
     """Every problem that does not depend on the data in ``settings``, which
-    maps some or all :class:`OptimizerConfig` fields to values (other keys
-    are ignored).  The resolvers raise the first; the CLI reports them all."""
-    problems = []
-    for key, value in settings.items():
-        what, test = _RULES.get(key, ("", None))
-        if test is None or test(value) or (value == AUTO and "'auto'" in what):
-            continue
-        if test is _count and value != AUTO and not _number(value).is_integer():
-            what = "a whole number"
-        # a rejected "auto" is not echoed, so that the line does not offer it
-        problems.append(f"{key} must be {what}" + ("" if value == AUTO else f", got {value!r}"))
+    maps some or all keys of :data:`SETTING_RULES` to values (other keys are
+    ignored).  The resolvers raise the first; the CLI reports them all."""
+    problems = rule_problems(SETTING_RULES, settings)
     if settings.get("mode") == "theoretical" and settings.get("learning_rate") is None:
         problems.append("theoretical mode requires learning_rate (a float or 'auto')")
     return problems
@@ -288,8 +262,7 @@ class _Recorder:
         self.test_oracle = (
             ProblemOracle(test_data, oracle.task, 0.0) if test_data is not None else None
         )
-        if not eval_every > 0:
-            raise ValueError("eval_every must be positive")
+        check_rules(SETTING_RULES, eval_every=eval_every)
         self.eval_every = float(eval_every)
         self.records: list[MetricsRecord] = []
         self._next = 0.0
@@ -312,7 +285,9 @@ class _Recorder:
         self.records.append(
             MetricsRecord(passes, wall, train_loss, test_loss, train_acc, test_acc)
         )
-        self._next = (math.floor(passes / self.eval_every) + 1) * self.eval_every
+        # past the float range (a tiny eval_every), every check is due
+        ratio = passes / self.eval_every
+        self._next = (math.floor(ratio) + 1) * self.eval_every if ratio < math.inf else passes
 
     def due(self, passes: float) -> bool:
         return passes >= self._next

@@ -32,6 +32,7 @@ Oracles are immutable after construction and safe for concurrent reads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,10 +40,18 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
+from ._rules import check_rules, number
 from .data import Dataset
 from .linalg import Rng
 
 TASKS = ("ridge", "logistic")
+
+#: What :class:`ProblemOracle` takes from a caller, per key: what a value
+#: must be and its test.
+ORACLE_RULES = {
+    "task": ("'ridge' or 'logistic'", lambda x: x in TASKS),
+    "l2": ("a finite number >= 0", lambda x: 0 <= number(x) < math.inf),
+}
 
 
 def _logistic_loss_sum(t: np.ndarray) -> float:
@@ -108,10 +117,7 @@ class ProblemOracle:
     l2: float = 0.0
 
     def __post_init__(self):
-        if self.task not in TASKS:
-            raise ValueError(f"unknown task {self.task!r}; expected one of {TASKS}")
-        if self.l2 < 0:
-            raise ValueError("l2 regularization must be nonnegative")
+        check_rules(ORACLE_RULES, task=self.task, l2=self.l2)
         if self.task == "logistic":
             bad = self.data.labels[np.abs(self.data.labels) != 1.0]
             if bad.size:

@@ -1,12 +1,16 @@
+import functools
 import gc
 import hashlib
 import itertools
 import json
 import math
+import operator
 import platform
 import re
+import shutil
 import weakref
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,7 @@ import scipy
 from sketchysgd import cli
 from sketchysgd import data as data_module
 from sketchysgd.cli import file_sha256, main, records_to_csv, validate_config
-from sketchysgd.data import load_libsvm, save_libsvm, split
+from sketchysgd.data import FeatureMap, load_libsvm, parse_libsvm, save_libsvm, split
 from sketchysgd.nystrom import SketchNotPsdError
 from sketchysgd.optimizers import (
     AUTO,
@@ -25,7 +29,9 @@ from sketchysgd.optimizers import (
     OptimizerConfig,
     resolve_baseline_config,
     resolve_config,
+    sgd_run,
 )
+from sketchysgd.oracles import ProblemOracle
 from sketchysgd.synthetic import gaussian_dataset, planted_least_squares
 
 import reference
@@ -173,6 +179,8 @@ def test_validate_config_collects_optimizer_problems(tmp_path):
                 {"name": "sketchysgd", "rank": 0, "nonsense": 1},
                 {"name": "sgd", "learning_rate": -2},
                 {"name": "sgd"},
+                {"name": "svrg", "label": []},
+                {"name": "svrg", "label": []},
             ],
             "seeds": [0],
         },
@@ -180,7 +188,8 @@ def test_validate_config_collects_optimizer_problems(tmp_path):
     )
     text = "\n".join(problems)
     assert "rank" in text and "nonsense" in text and "learning_rate" in text
-    assert "duplicate labels" in text
+    assert "duplicate labels ['sgd']" in text
+    assert "optimizers[3]: label must be a string" in text
 
 
 def test_invalid_json_exits_2(tmp_path, capsys):
@@ -316,6 +325,27 @@ def test_diagnose_saved_iterate(tmp_path):
     cfg_path = write_config(tmp_path, config, "diag.json")
     assert main(["diagnose", str(cfg_path)]) == 0
     assert (out / "spectrum_sketchysgd_seed0_iterate.json").exists()
+
+
+@pytest.mark.parametrize(
+    "write, reason",
+    [
+        (lambda path: np.save(path, np.zeros(7)), "must be a finite float vector of length 10"),
+        (lambda path: np.save(path, np.full(10, np.nan)), "must be a finite float vector of length 10"),
+        (lambda path: path.write_text("1 1:0.5\n"), "This file contains pickled (object) data."),
+    ],
+    ids=["wrong-length", "not-finite", "not-an-array"],
+)
+def test_diagnose_rejects_a_bad_iterate_before_writing(tmp_path, capsys, write, reason):
+    ds, _ = planted_least_squares(150, 10, condition=100.0, seed=2)
+    save_libsvm(ds, tmp_path / "d.svm")
+    write(tmp_path / "w.npy")
+    config = {"dataset": {"path": "d.svm"}, "task": "ridge", "optimizers": [{"name": "sketchysgd"}],
+              "seeds": [0], "output_dir": str(tmp_path / "res"), "diagnose": {"iterates": ["w.npy"]}}
+    assert main(["diagnose", str(write_config(tmp_path, config))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: diagnose.iterates: w.npy: {reason}") and err.count("\n") == 1
+    assert not (tmp_path / "res").exists()
 
 
 def test_logistic_pipeline_with_split_and_features(tmp_path):
@@ -563,6 +593,14 @@ def overflowing_rho(tmp_path, config):
         "config error: optimizers[0] (sketchysgd): rho must be positive and finite, got inf\n")
 
 
+def overflowing_feature_map(tmp_path, config):
+    # 1 / bandwidth is finite; the map's products with these values are not
+    (tmp_path / "big.svm").write_text("".join(f"{i} 1:{1e10 * (i + 1)}\n" for i in range(40)))
+    return dict(config, dataset={"path": "big.svm"}, preprocessing=[
+        {"random_features": {"kind": "rff-cosine", "dim": 8, "bandwidth": 1e-300}}]), [], (
+        "config error: preprocessing[0]: dataset contains non-finite feature values\n")
+
+
 def empty_file(tmp_path, config):
     (tmp_path / "empty.svm").write_text("")
     return dict(config, dataset={"path": "empty.svm"}), [], (
@@ -605,7 +643,8 @@ def output_dir_under_a_file(tmp_path, config):
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
-@pytest.mark.parametrize("case", [bad_labels, tiny_rho, overflowing_rho, empty_file, one_row_split,
+@pytest.mark.parametrize("case", [bad_labels, tiny_rho, overflowing_rho, overflowing_feature_map,
+                                  empty_file, one_row_split,
                                   labels_only, zero_smoothness_bound, output_dir_is_a_file,
                                   output_dir_under_a_file])
 def test_data_dependent_mistakes_exit_2_with_one_line(workspace, capsys, command, case):
@@ -645,7 +684,7 @@ def test_a_bad_label_in_the_test_split_only_is_a_config_error(tmp_path, capsys, 
         ({}, ["--max-passes", "0"], "max_passes must be a positive finite number, got 0.0"),
         ({"seeds": [-1]}, [], "seeds: seed must be an integer >= 0, got -1"),
         ({}, ["--seed", "-1"], "seeds: seed must be an integer >= 0, got -1"),
-        ({"l2": math.inf}, [], "l2: must be a finite nonnegative number or 'auto'"),
+        ({"l2": math.inf}, [], "l2 must be a finite number >= 0 or 'auto', got inf"),
     ],
     ids=["infinite-max_passes", "infinite-max-passes-flag", "zero-max-passes-flag",
          "negative-seed", "negative-seed-flag", "infinite-l2"],
@@ -699,3 +738,146 @@ def test_cli_and_library_agree_on_every_setting(narrow, capsys):
             code = main(["validate", str(write_config(tmp_path, case))])
             assert code == (2 if problems or error else 0), where
             assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_and_library_agree_on_every_tabled_value(narrow):
+    """``validate_config`` reports a problem exactly when the library function
+    that takes the value raises ``ValueError``, and the library raises
+    nothing else."""
+    tmp_path, config = narrow
+    ds = load_libsvm(tmp_path / "narrow.svm")
+    features = {"kind": "rff-cosine", "dim": 3, "bandwidth": 1.0, "seed": 0}
+    halves = {"fraction": 0.5, "seed": 0}
+    cases = {  # key: (the config with the value, the library call on it)
+        "task": (lambda v: dict(config, task=v), lambda v: ProblemOracle(ds, v)),
+        # the CLI resolves an "auto" l2 before the oracle sees it
+        "l2": (lambda v: dict(config, l2=v), lambda v: ProblemOracle(ds, "ridge", v)),
+        "eval_every": (lambda v: dict(config, eval_every=v),
+                       lambda v: sgd_run(ProblemOracle(ds, "ridge"), max_passes=0.5, eval_every=v)),
+        "num_features": (lambda v: dict(config, dataset=dict(config["dataset"], num_features=v)),
+                         lambda v: parse_libsvm("1 1:1\n", num_features=v)),
+        **{f"random_features.{key}": (
+            lambda v, key=key: dict(config, preprocessing=[{"random_features": {**features, key: v}}]),
+            lambda v, key=key: FeatureMap.create(input_dim=ds.p, **{**features, key: v}))
+           for key in features},
+        **{f"split.{key}": (
+            lambda v, key=key: dict(config, preprocessing=[{"split": {**halves, key: v}}]),
+            lambda v, key=key: split(ds, **{**halves, key: v}))
+           for key in halves},
+    }
+    for (key, (configured, library)), value in itertools.product(cases.items(), HOSTILE):
+        if key == "l2" and value == AUTO:
+            continue
+        try:
+            library(value)
+            error = None
+        except ValueError as exc:
+            error = str(exc)
+        problems = validate_config(configured(value), tmp_path)
+        assert bool(problems) == (error is not None), (key, value, problems, error)
+
+
+FUZZ_VALUES = [True, None, "x", "auto", [], {}, 0, -1, 0.5, 3.0, 1e-320, 1e308, math.nan, math.inf]
+# keys whose value sizes an allocation or a loop: 10**4 stands in for 1e308
+FUZZ_SIZES = {"dim", "num_features", "rank", "grad_batch_size", "hess_batch_size",
+              "stage_length", "power_iters", "top_m"}
+FUZZ_SETTINGS = {"rank": 2, "rho": "auto", "hess_batch_size": 3, "update_freq": 2,
+                 "lr_scale": 0.5, "power_iters": 3, "stage_length": 2}
+FUZZ_CONFIG = {
+    "dataset": {"path": "d.svm", "format": "libsvm", "num_features": 3},
+    "task": "logistic",
+    "preprocessing": [
+        {"normalize_rows": {}},
+        {"random_features": {"kind": "rff-cosine", "dim": 4, "bandwidth": 1.0, "seed": 0}},
+        {"split": {"fraction": 0.75, "seed": 0}},
+        {"standardize": {}},
+    ],
+    "l2": "auto",
+    "optimizers": [
+        {"name": "sketchysgd", "label": "nys", "grad_batch_size": 4, "learning_rate": None,
+         **FUZZ_SETTINGS},
+        {"name": "sketchysgd-theoretical", "grad_batch_size": "auto", "learning_rate": "auto",
+         **FUZZ_SETTINGS},
+        {"name": "sgd", "label": "plain", "learning_rate": 0.5, "grad_batch_size": 4},
+        {"name": "svrg", "learning_rate": "auto", "grad_batch_size": 4},
+    ],
+    "seeds": [0, 1],
+    "max_passes": 0.5,
+    "eval_every": 0.25,
+    "output_dir": "out",
+    "save_iterates": False,
+    "diagnose": {"top_m": 3, "betas": [0.1], "compute_tau": False, "iterates": ["w.npy"]},
+}
+FUZZ_DATA = "".join(f"{1 if i % 3 else -1} 1:{0.3 * i - 2} 3:{1 + 0.1 * i}\n" for i in range(16))
+FUZZ_FILES = {
+    "empty": "",
+    "label-only": "1\n-1\n1\n",
+    "blank-lines-crlf": "\r\n" + FUZZ_DATA.replace("\n", "\r\n\r\n"),
+    "repeated-index": FUZZ_DATA + "1 2:1 2:3\n",
+    "subnormal": FUZZ_DATA + "1 1:5e-324 2:1e-310 3:-2.5e-320\n",
+    "label-outside-pm1": FUZZ_DATA + "2 1:1\n",
+    "one-row": "1 1:0.5 2:1\n",
+}
+
+
+def fuzz_paths(node, path=()):
+    """The path of every key and list entry below ``node``."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield (*path, key)
+        yield from fuzz_paths(child, (*path, key))
+
+
+def test_cli_failure_contract_under_fuzzed_configs_and_data(tmp_path, monkeypatch, capsys):
+    """Every mutation of one key, or of the data file, exits 0, 2 or 3 with
+    one-line reasons, writes nothing on exit 2, and writes a manifest naming
+    every job on a run; any NumPy warning fails the case."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d.svm").write_text(FUZZ_DATA)
+    np.save(tmp_path / "w.npy", np.full(4, 0.1))
+    rng = np.random.default_rng(23)
+    line = re.compile(r"(config error|runtime error|\S+ seed \d+): ")
+
+    def check(command, config, where):
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        before = set(tmp_path.rglob("*"))
+        try:
+            code = main([command, "c.json"])
+        except Exception as exc:  # a traceback on the command line
+            raise AssertionError(f"{command} {where}: {exc!r}") from exc
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), (command, where, code, err)
+        assert all(line.match(text) for text in err.splitlines()), (command, where, err)
+        if code == 2:
+            assert set(tmp_path.rglob("*")) == before, (command, where)
+        elif command == "run":
+            jobs = json.loads((Path(config["output_dir"]) / "manifest.json").read_text())["jobs"]
+            assert len(jobs) == len(config["optimizers"]) * len(config["seeds"]), where
+            assert all(job["status"] in ("ok", "diverged", "failed") for job in jobs), where
+        for path in set(tmp_path.iterdir()) - {tmp_path / name for name in ("d.svm", "w.npy", "c.json")}:
+            shutil.rmtree(path)
+        return code
+
+    for command in ("validate", "run", "diagnose"):
+        check(command, FUZZ_CONFIG, "the base config")
+    for path in fuzz_paths(FUZZ_CONFIG):
+        for value in FUZZ_VALUES:
+            if value == 1e308 and path[-1] in FUZZ_SIZES:
+                value = 10**4
+            config = json.loads(json.dumps(FUZZ_CONFIG))
+            parent = functools.reduce(operator.getitem, path[:-1], config)
+            parent[path[-1]] = value
+            where = f"{'.'.join(map(str, path))} = {value!r}"
+            if path[0] == "diagnose":
+                check("diagnose", config, where)
+                continue
+            valid = check("validate", config, where) == 0
+            # every run that can start a job, and some that cannot; a run is
+            # bounded by the base's passes and seeds
+            if path[0] not in ("max_passes", "seeds") and (valid or rng.random() < 0.05):
+                check("run", config, where)
+    for name, text in FUZZ_FILES.items():
+        (tmp_path / "d.svm").write_text(text)
+        for command in ("validate", "run"):
+            check(command, FUZZ_CONFIG, f"data file {name}")

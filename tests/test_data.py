@@ -74,6 +74,9 @@ def test_parse_num_features_override():
     assert ds.p == 10
     with pytest.raises(LibsvmParseError, match="exceeds"):
         parse_libsvm("1 5:1.0", num_features=3)
+    for count in (2.5, 3.0, True, 0):  # never truncated
+        with pytest.raises(ValueError, match=f"^num_features must be a positive integer or None, got {count!r}$"):
+            parse_libsvm("1 1:1.0", num_features=count)
 
 
 def test_round_trip_random_sparse():
@@ -702,6 +705,11 @@ def test_random_features_reproducible_and_dim_check():
     bad = FeatureMap.create("rff-cosine", dim=32, input_dim=5, seed=77)
     with pytest.raises(ValueError, match="input features"):
         random_features(ds, bad)
+    # NumPy takes only integers as shapes; 1 / bandwidth must be finite
+    for key, value in (("dim", True), ("dim", 2.5), ("dim", 3.0), ("seed", -1), ("bandwidth", 1e-320),
+                       ("kind", "cosine")):
+        with pytest.raises(ValueError, match=f"^{key} must be .*, got {value!r}$"):
+            FeatureMap.create(**{"kind": "rff-cosine", "dim": 32, "input_dim": 6, "seed": 77, key: value})
 
 
 def test_random_features_gaussian_kernel():
@@ -817,8 +825,10 @@ def test_split_rejects_tiny():
     ds = Dataset(np.zeros((1, 2)), np.zeros(1))
     with pytest.raises(ValueError):
         split(ds, 0.5, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^fraction must be"):
         split(Dataset(np.zeros((5, 2)), np.zeros(5)), 1.2, seed=0)
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0, got -1$"):
+        split(Dataset(np.zeros((5, 2)), np.zeros(5)), 0.5, seed=-1)
 
 
 def test_condition_lower_bound_identity():

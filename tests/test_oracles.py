@@ -393,6 +393,9 @@ def test_oracle_validation():
         ProblemOracle(ds, "logistic", 0.0)
     with pytest.raises(ValueError, match="task"):
         ProblemOracle(ds, "poisson", 0.0)
+    for l2 in (-1.0, math.nan, math.inf, "0"):
+        with pytest.raises(ValueError, match="^l2 must be a finite number >= 0"):
+            ProblemOracle(ds, "ridge", l2)
     oracle = ProblemOracle(ds, "ridge", 0.0)
     with pytest.raises(ValueError, match="shape"):
         oracle.full_loss(np.zeros(4))
