@@ -60,7 +60,6 @@ from .optimizers import (
     OptimizerConfig,
     RunResult,
     estimate_learning_rate,
-    preconditioned_top_eigenvalue,
     resolve_baseline_config,
     resolve_config,
     sgd_run,

@@ -6,13 +6,14 @@ Three subcommands share one JSON config document::
     sketchysgd diagnose config.json  # spectrum reports before/after preconditioning
     sketchysgd validate config.json  # schema check, print the resolved config
 
-Exit codes: 0 ok, 2 config or data error (including a malformed libsvm
-line, a feature index above 2^63 - 1, a non-finite label or value, a data
-file with no samples or no features, a repeated seed, a logistic label
-other than +-1 in either split, a preprocessing step that the library
-rejects on the loaded data, such as a random-features map that overflows
-(``preprocessing[i]: <reason>``), a ``rho`` whose reciprocal overflows
-float64, an ``"auto"`` ``rho`` or step size on a zero or infinite
+Exit codes: 0 ok, 2 config or data error (including a data file that
+cannot be read as UTF-8 text, plain or gzip, a malformed libsvm line, a
+feature index above 2^63 - 1, a non-finite label or value, a data file with
+no samples or no features, a repeated seed, an optimizer label that does
+not name a file, a logistic label other than +-1 in either split, a
+preprocessing step that the library rejects on the loaded data, such as a
+random-features map that overflows (``preprocessing[i]: <reason>``), a
+``rho`` whose reciprocal overflows float64, an ``"auto"`` ``rho`` or step size on a zero or infinite
 smoothness bound, a ``diagnose`` iterate that is unreadable or not a
 finite float vector of length p, and an output directory that names an
 existing file; each is one ``config error: ...`` line, and nothing is
@@ -88,6 +89,7 @@ import math
 import os
 import platform
 import sys
+import zlib
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -186,6 +188,11 @@ _STEP_RULES = {
     "random_features": (FEATURE_MAP_RULES, ("kind", "dim")),
     "split": (SPLIT_RULES, ("fraction",)),
 }
+# ``<label>_seed<seed>.csv`` and its siblings are files in the output directory
+_OPTIMIZER_RULES = {
+    "label": ("a string that names a file: nonempty, with no '/' or NUL",
+              lambda x: isinstance(x, str) and x != "" and "/" not in x and "\0" not in x),
+}
 _DIAGNOSE_RULES = {
     "top_m": ("a positive integer", shape),
     "betas": ("a list of positive numbers",
@@ -242,9 +249,8 @@ def _validate_optimizer(spec, i, problems):
     if extra:
         problems.append(f"{tag}: unknown keys for {name}: {sorted(extra)}")
     settings = _settings({key: value for key, value in spec.items() if key in allowed})
-    problems.extend(f"{tag}: {problem}" for problem in settings_problems(settings))
-    if "label" in spec and not isinstance(spec["label"], str):
-        problems.append(f"{tag}: label must be a string")
+    problems.extend(f"{tag}: {problem}"
+                    for problem in settings_problems(settings) + rule_problems(_OPTIMIZER_RULES, spec))
 
 
 def _settings(spec: dict) -> dict:
@@ -313,12 +319,17 @@ def load_problem(config: dict, base_dir: Path):
 
     Each stage's input is released as soon as the stage has replaced it: the
     chain rebinds ``train``, so the parsed matrix is gone before a split.  A
-    step that raises ``ValueError`` on the loaded data is the config error
+    file that cannot be read as text (not UTF-8, or a ``.gz`` path that is
+    not whole gzip data) is the config error ``dataset: cannot read <path>:
+    <reason>``, and a step that raises ``ValueError`` on the loaded data is
     ``preprocessing[i]: <reason>``.
     """
     spec = config["dataset"]
     path = (base_dir / spec["path"]).expanduser()
-    train = load_libsvm(path, num_features=spec.get("num_features"))
+    try:
+        train = load_libsvm(path, num_features=spec.get("num_features"))
+    except (OSError, EOFError, UnicodeDecodeError, zlib.error) as exc:
+        raise ConfigError([f"dataset: cannot read {path}: {exc}"]) from exc
     for count, what in ((train.n, "samples"), (train.p, "features")):
         if count == 0:
             raise ConfigError([f"dataset: {path} holds no {what}"])

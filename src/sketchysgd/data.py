@@ -63,13 +63,10 @@ class Dataset:
 
     ``features`` is either a dense float64 ndarray or a ``scipy.sparse``
     CSR matrix; ``labels`` holds regression targets or +/-1 class labels.
-    ``provenance`` records where the data came from and the transform chain
-    applied so far.
     """
 
     features: object
     labels: np.ndarray
-    provenance: str = ""
 
     def __post_init__(self):
         feats = self.features
@@ -132,11 +129,10 @@ class Dataset:
             sq = np.einsum("ij,ij->i", self.features, self.features)
         return np.sqrt(sq)
 
-    def take(self, indices: np.ndarray, note: str = "") -> "Dataset":
+    def take(self, indices: np.ndarray) -> "Dataset":
         """Row subset as a new dataset."""
         indices = np.asarray(indices, dtype=np.int64)
-        prov = self.provenance + (f" | {note}" if note else "")
-        return Dataset(self.features[indices], self.labels[indices], prov)
+        return Dataset(self.features[indices], self.labels[indices])
 
 
 #: Largest 1-based feature index: the 0-based column must fit in int64.
@@ -393,11 +389,8 @@ def parse_libsvm(source, num_features: int | None = None) -> Dataset:
     if isinstance(source, str):
         # Read as UTF-8 bytes, 1 to 4 per character where io.StringIO holds
         # 4; "surrogatepass" carries lone surrogates through both ways.
-        name = "<string>"
         source = io.TextIOWrapper(io.BytesIO(source.encode("utf-8", "surrogatepass")),
                                   encoding="utf-8", errors="surrogatepass", newline="")
-    else:
-        name = getattr(source, "name", "<stream>")
     labels, indptr, indices, values = np.empty(0), np.zeros(1, np.int32), np.empty(0, np.int32), np.empty(0)
     n = nnz = lines = 0
     for text in _whole_lines(source):
@@ -415,12 +408,11 @@ def parse_libsvm(source, num_features: int | None = None) -> Dataset:
     if num_features is not None and max_idx > p:
         raise LibsvmParseError(f"feature index {max_idx} exceeds the declared feature count {p}")
     mat = sp.csr_matrix((values, indices, indptr), shape=(n, p))
-    return Dataset(mat, labels, provenance=str(name))
+    return Dataset(mat, labels)
 
 
 def load_libsvm(path, num_features: int | None = None) -> Dataset:
-    """Read a libsvm file, transparently decompressing ``.gz`` paths; the
-    dataset's provenance is the path."""
+    """Read a libsvm file, transparently decompressing ``.gz`` paths."""
     path = str(path)
     opener = gzip.open if path.endswith(".gz") else open
     with opener(path, "rt") as handle:
@@ -465,7 +457,7 @@ def normalize_rows(ds: Dataset) -> Dataset:
             feats.eliminate_zeros()
     else:
         feats = ds.features * inv[:, None]
-    return Dataset(feats, ds.labels, ds.provenance + " | normalize_rows")
+    return Dataset(feats, ds.labels)
 
 
 @dataclass(frozen=True)
@@ -490,7 +482,7 @@ def standardize(ds: Dataset, stats: StandardizeStats) -> Dataset:
     """Center and scale features with training statistics; output is dense."""
     dense = ds.dense_features()
     out = (dense - stats.mean[None, :]) / stats.scale[None, :]
-    return Dataset(out, ds.labels, ds.provenance + " | standardize")
+    return Dataset(out, ds.labels)
 
 
 #: What :meth:`FeatureMap.create` takes from a caller, per key: what a value
@@ -558,8 +550,7 @@ def random_features(ds: Dataset, fmap: FeatureMap) -> Dataset:
         out *= np.sqrt(2.0 / fmap.dim)
     else:
         np.maximum(out, 0.0, out=out)
-    note = f" | random_features({fmap.kind}, D={fmap.dim}, seed={fmap.seed})"
-    return Dataset(out, ds.labels, ds.provenance + note)
+    return Dataset(out, ds.labels)
 
 
 #: What :func:`split` takes from a caller, per key: what a value must be and
@@ -581,10 +572,7 @@ def split(ds: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     n_train = min(max(n_train, 1), ds.n - 1)
     train_idx = np.sort(perm[:n_train])
     test_idx = np.sort(perm[n_train:])
-    return (
-        ds.take(train_idx, note=f"split(train, {fraction}, seed={seed})"),
-        ds.take(test_idx, note=f"split(test, {fraction}, seed={seed})"),
-    )
+    return ds.take(train_idx), ds.take(test_idx)
 
 
 def singular_values(ds: Dataset, max_dim: int = EIGH_DIM_CAP) -> np.ndarray:

@@ -107,12 +107,6 @@ class NystromApprox:
         """Dense ``V diag(lam) V.T`` (diagnostics only)."""
         return (self.basis * self.eigenvalues) @ self.basis.T
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Product of the approximation with a vector or block."""
-        coeffs = self.basis.T @ np.asarray(v, dtype=np.float64)
-        weights = self.eigenvalues[:, None] if coeffs.ndim == 2 else self.eigenvalues
-        return self.basis @ (weights * coeffs)
-
 
 def rand_nys_approx(
     hvp: Callable[[np.ndarray], np.ndarray],

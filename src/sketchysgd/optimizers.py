@@ -52,8 +52,7 @@ support ``S``, for O(nnz(C) r + |S| r^2) instead of O(p r^2) (see
 :func:`sketch_hessian`).  The step-size estimate runs its power iteration
 in the b_h-dimensional space of a fresh Hessian batch, on CSR data with
 the basis rows on that batch's support ``S'``, for O(nnz(C) + |S'| r) per
-sweep (see :func:`estimate_learning_rate`), with
-:func:`preconditioned_top_eigenvalue` as the generic reference.
+sweep (see :func:`estimate_learning_rate`).
 """
 
 from __future__ import annotations
@@ -61,7 +60,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -297,46 +295,6 @@ class _Recorder:
             self.record(w, passes, wall, iteration)
 
 
-def preconditioned_top_eigenvalue(
-    apply_op: Callable[[np.ndarray], np.ndarray],
-    nys: NystromApprox,
-    rho: float,
-    power_iters: int,
-    rng: Rng,
-) -> float:
-    """Top eigenvalue of ``P^{-1/2} M P^{-1/2}`` by randomized powering.
-
-    ``apply_op`` applies the symmetric PSD operator M to a vector and
-    ``P = H_hat + rho I``.  Each sweep conjugates by the inverse square root
-    on both sides and reads off the Rayleigh quotient.  A degenerate run
-    (the operator annihilates the iterate subspace) is retried once with a
-    fresh Gaussian start; a second failure raises — silent fallbacks would
-    mask oracle bugs.
-    """
-    p = nys.p
-    for _ in range(2):
-        z = rng.standard_normal(p)
-        norm_z = float(np.linalg.norm(z))
-        if norm_z == 0.0:
-            continue
-        y = z / norm_z
-        lam = math.nan
-        degenerate = False
-        for _ in range(power_iters):
-            v = precond_inv_sqrt(nys, rho, y)
-            hv = np.asarray(apply_op(v), dtype=np.float64).ravel()
-            y_next = precond_inv_sqrt(nys, rho, hv)
-            lam = float(y @ y_next)
-            norm_y = float(np.linalg.norm(y_next))
-            if not math.isfinite(lam) or norm_y == 0.0:
-                degenerate = True
-                break
-            y = y_next / norm_y
-        if not degenerate and math.isfinite(lam) and lam > 0.0:
-            return lam
-    raise LearningRateError("learning-rate estimation failed")
-
-
 def _column_support(factor: sp.csr_matrix) -> tuple[np.ndarray, sp.csr_matrix]:
     """The columns ``S`` holding the stored entries of the CSR ``factor``
     (sorted), and ``factor`` with its columns renumbered onto them."""
@@ -362,13 +320,17 @@ def estimate_learning_rate(
     symmetric.  The minibatch Hessian here excludes the l2 term, matching
     the sketch.
 
-    The powering of :func:`preconditioned_top_eigenvalue` runs in batch
-    space.  With ``H_S = C' C`` (:meth:`ProblemOracle.hessian_factor`,
-    gathered once) and ``B = C P^{-1/2}``, ``P^{-1/2} H_S P^{-1/2} = B' B``,
-    so the reference iterate ``y`` is carried as ``x = B y`` in R^b_h: the
-    Rayleigh quotient is ``||x||^2`` and, with ``u = C' x``, the next iterate
-    is ``C P^{-1} u / sqrt(u' P^{-1} u)``.  The same Gaussian start and retry
-    give the same estimate in exact arithmetic.
+    ``lambda_q`` is the top eigenvalue of ``P^{-1/2} H_S P^{-1/2}``, with
+    ``P = H_hat + rho I``, found by randomized powering in batch space.  With
+    ``H_S = C' C`` (:meth:`ProblemOracle.hessian_factor`, gathered once) and
+    ``B = C P^{-1/2}``, ``P^{-1/2} H_S P^{-1/2} = B' B``, whose top eigenvalue
+    is that of ``B B'``, a b_h x b_h matrix.  The powering starts at
+    ``x = B z / ||z||`` for a Gaussian ``z`` in R^p; a sweep reads the
+    Rayleigh quotient ``||x||^2`` and, with ``u = C' x``, moves to
+    ``C P^{-1} u / sqrt(u' P^{-1} u)``.  A start that meets a non-finite
+    quotient or ``u' P^{-1} u = 0``, or ends at a quotient <= 0, is retried
+    once with a fresh start; a second failure raises
+    :class:`LearningRateError`.
 
     On CSR data ``C`` is renumbered onto the batch's column support ``S'``.
     ``u`` lives on ``S'``, and so does all of ``P^{-1} u`` that ``C`` reads,

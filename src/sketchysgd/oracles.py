@@ -20,10 +20,9 @@ curvature weights computed once.  Every Nystrom build and step-size
 estimate works on ``C``; ``minibatch_hvp`` is the reference operator they
 are tested against.
 
-Every logistic loss (``full_loss``, ``mean_sample_loss``,
-``minibatch_loss``) goes through one helper, ``_logistic_loss_sum``, which
-sums ``log(1 + exp(t))`` as ``max(t, 0) + log1p(exp(-|t|))`` in vectorized
-passes.  The evaluation metrics and ``minibatch_gradient`` take optional
+Every logistic loss (``full_loss``, ``mean_sample_loss``) goes through
+one helper, ``_logistic_loss_sum``, which sums ``log(1 + exp(t))`` as
+``max(t, 0) + log1p(exp(-|t|))`` in vectorized passes.  The evaluation metrics and ``minibatch_gradient`` take optional
 precomputed ``margins`` so that a caller reading several of them at one
 iterate forms ``features @ w`` once.
 
@@ -187,13 +186,6 @@ class ProblemOracle:
             raise ValueError("accuracy is only defined for the logistic task")
         z = self._full_margins(w, margins)
         return np.count_nonzero((z >= 0.0) == (self.data.labels > 0.0)) / self.n
-
-    def minibatch_loss(self, w: np.ndarray, batch: np.ndarray) -> float:
-        """Mean loss over a batch plus the l2 term (finite-difference target)."""
-        w = self._check_w(w)
-        batch = self._check_batch(batch)
-        base = self._loss_sum(self.margins(w, batch), self.data.labels[batch]) / batch.size
-        return base + 0.5 * self.l2 * float(w @ w)
 
     def _check_batch(self, batch) -> np.ndarray:
         batch = np.asarray(batch, dtype=np.int64).ravel()

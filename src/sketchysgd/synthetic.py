@@ -81,8 +81,7 @@ def planted_least_squares(
     w_star = rng.standard_normal(p)
     w_star /= np.linalg.norm(w_star)
     labels = a @ w_star
-    ds = Dataset(a, labels, provenance=f"planted_least_squares(n={n}, p={p}, cond={condition}, seed={seed})")
-    return ds, w_star
+    return Dataset(a, labels), w_star
 
 
 def gaussian_dataset(n: int, p: int, task: str, seed: int = 0, scale: float = 1.0) -> Dataset:
@@ -103,4 +102,4 @@ def gaussian_dataset(n: int, p: int, task: str, seed: int = 0, scale: float = 1.
             labels[: n // 2] = -labels[0]
     else:
         raise ValueError(f"unknown task {task!r}")
-    return Dataset(a, labels, provenance=f"gaussian_dataset(n={n}, p={p}, task={task}, seed={seed})")
+    return Dataset(a, labels)

@@ -1,5 +1,12 @@
 """Reference code that the tests compare the package against.
 
+:func:`preconditioned_top_eigenvalue` is randomized powering on
+``P^{-1/2} M P^{-1/2}`` in R^p for any PSD operator ``M``, the generic form
+of the batch-space ``optimizers.estimate_learning_rate``.
+:func:`minibatch_loss` is the minibatch objective that finite differences
+of ``minibatch_gradient`` and ``minibatch_hvp`` are taken on.
+:func:`nystrom_apply` is the product ``H_hat v`` of a Nystrom approximation.
+
 :func:`unshared_reads` patches the optimization loop back to the data reads
 of version 0.3.0, which gave the same numbers with more work: a dense SVRG
 step that calls ``minibatch_gradient`` at ``w`` and at ``w_snap`` (two row
@@ -14,15 +21,73 @@ it: one row-major Gaussian draw factored by ``np.linalg.qr``.
 :func:`zipf_libsvm_text` writes libsvm text shaped like the benchmark's.
 """
 
+import math
 import tracemalloc
+from typing import Callable
 
 import numpy as np
 
 from sketchysgd import optimizers
-from sketchysgd.linalg import make_rng
-from sketchysgd.nystrom import precond_solve
+from sketchysgd.linalg import Rng, make_rng
+from sketchysgd.nystrom import NystromApprox, precond_inv_sqrt, precond_solve
+from sketchysgd.optimizers import LearningRateError
 from sketchysgd.oracles import ProblemOracle
 from sketchysgd.synthetic import planted_spectrum
+
+
+def preconditioned_top_eigenvalue(
+    apply_op: Callable[[np.ndarray], np.ndarray],
+    nys: NystromApprox,
+    rho: float,
+    power_iters: int,
+    rng: Rng,
+) -> float:
+    """Top eigenvalue of ``P^{-1/2} M P^{-1/2}`` by randomized powering.
+
+    ``apply_op`` applies the symmetric PSD operator M to a vector and
+    ``P = H_hat + rho I``.  Each sweep conjugates by the inverse square root
+    on both sides and reads off the Rayleigh quotient.  A degenerate run
+    (the operator annihilates the iterate subspace) is retried once with a
+    fresh Gaussian start; a second failure raises — silent fallbacks would
+    mask oracle bugs.
+    """
+    p = nys.p
+    for _ in range(2):
+        z = rng.standard_normal(p)
+        norm_z = float(np.linalg.norm(z))
+        if norm_z == 0.0:
+            continue
+        y = z / norm_z
+        lam = math.nan
+        degenerate = False
+        for _ in range(power_iters):
+            v = precond_inv_sqrt(nys, rho, y)
+            hv = np.asarray(apply_op(v), dtype=np.float64).ravel()
+            y_next = precond_inv_sqrt(nys, rho, hv)
+            lam = float(y @ y_next)
+            norm_y = float(np.linalg.norm(y_next))
+            if not math.isfinite(lam) or norm_y == 0.0:
+                degenerate = True
+                break
+            y = y_next / norm_y
+        if not degenerate and math.isfinite(lam) and lam > 0.0:
+            return lam
+    raise LearningRateError("learning-rate estimation failed")
+
+
+def minibatch_loss(oracle: ProblemOracle, w: np.ndarray, batch: np.ndarray) -> float:
+    """Mean loss over a batch plus the l2 term (finite-difference target)."""
+    w = oracle._check_w(w)
+    batch = oracle._check_batch(batch)
+    base = oracle._loss_sum(oracle.margins(w, batch), oracle.data.labels[batch]) / batch.size
+    return base + 0.5 * oracle.l2 * float(w @ w)
+
+
+def nystrom_apply(nys: NystromApprox, v: np.ndarray) -> np.ndarray:
+    """Product of the approximation with a vector or block."""
+    coeffs = nys.basis.T @ np.asarray(v, dtype=np.float64)
+    weights = nys.eigenvalues[:, None] if coeffs.ndim == 2 else nys.eigenvalues
+    return nys.basis @ (weights * coeffs)
 
 
 def two_gather_step(self, j):

