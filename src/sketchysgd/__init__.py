@@ -70,4 +70,4 @@ from .optimizers import (
 from .oracles import ProblemOracle, sample_batch
 from .synthetic import gaussian_dataset, planted_least_squares, planted_spectrum
 
-__version__ = "0.3.0"
+__version__ = "0.3.1"

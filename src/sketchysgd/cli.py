@@ -10,7 +10,8 @@ Exit codes: 0 ok, 2 config or data error (including a data file that
 cannot be read as UTF-8 text, plain or gzip, a malformed libsvm line, a
 feature index above 2^63 - 1, a non-finite label or value, a data file with
 no samples or no features, a repeated seed, an optimizer label that does
-not name a file, a logistic label other than +-1 in either split, a
+not name a file, or whose output file names with the largest seed would be
+over 255 bytes, a logistic label other than +-1 in either split, a
 preprocessing step that the library rejects on the loaded data, such as a
 random-features map that overflows (``preprocessing[i]: <reason>``), a
 ``rho`` whose reciprocal overflows float64, an ``"auto"`` ``rho`` or step size on a zero or infinite
@@ -279,14 +280,15 @@ def validate_config(config: dict, base_dir: Path) -> list[str]:
         _validate_preprocessing(config["preprocessing"], problems)
 
     optimizers = config.get("optimizers")
+    labels = {}
     if isinstance(optimizers, list):
-        labels = []
         for i, spec in enumerate(optimizers):
             _validate_optimizer(spec, i, problems)
             # a label or name that is not a string is reported above
             if isinstance(spec, dict) and isinstance(label := spec.get("label", spec.get("name")), str):
-                labels.append(label)
-        dup = {x for x in labels if labels.count(x) > 1}
+                labels[i] = label
+        names = list(labels.values())
+        dup = {x for x in names if names.count(x) > 1}
         if dup:
             problems.append(
                 f"optimizers: duplicate labels {sorted(dup)}; give each a unique 'label'"
@@ -296,9 +298,20 @@ def validate_config(config: dict, base_dir: Path) -> list[str]:
     if isinstance(seeds, list):
         if bad := [f"seeds: {p}" for seed in seeds for p in settings_problems({"seed": seed})]:
             problems.extend(bad)
-        elif len(set(seeds)) < len(seeds):
-            dup = sorted({s for s in seeds if seeds.count(s) > 1})
-            problems.append(f"seeds: duplicate seeds {dup}; each seed names its own output files")
+        else:
+            if len(set(seeds)) < len(seeds):
+                dup = sorted({s for s in seeds if seeds.count(s) > 1})
+                problems.append(f"seeds: duplicate seeds {dup}; each seed names its own output files")
+            # the longest name a job writes (tied with <label>_seed<seed>_iterate.npy)
+            # must fit a file name's 255 bytes
+            for i, label in labels.items():
+                name = f"{label}_seed{max(seeds, default=0)}.csv.partial"
+                try:
+                    fits = len(os.fsencode(name)) <= 255
+                except UnicodeEncodeError:  # a lone surrogate
+                    fits = False
+                if not fits:
+                    problems.append(f"optimizers[{i}]: output file name {name!r} must encode to at most 255 bytes")
 
     diag = config.get("diagnose")
     if isinstance(diag, dict):

@@ -5,15 +5,10 @@ target the p x r shapes (r << p) that arise when sketching a large symmetric
 operator, plus small symmetric eigenproblems used by the diagnostics.  They
 are thin, contract-checked wrappers over LAPACK via numpy.
 
-The skinny QR and thin SVD do their p x r work as matrix products and
-their factorizations in r x r: CholeskyQR2 (twice: Gram matrix, Cholesky,
-product with the inverse of the r x r triangle), then the SVD of the r x r
-factor.  That is a few GEMMs where Householder reflections make r
-memory-bound passes each.  The Gram matrix squares the condition number,
-so when a Cholesky factorization breaks down or the result misses
-orthonormality by more than ``ORTHONORMAL_TOL`` (from a condition number of
-about 1e8 on) both fall back to Householder QR and SVD.  The spectral norm
-is the top eigenvalue of the r x r Gram matrix.
+The skinny QR and thin SVD are one Householder factorization each
+(LAPACK ``geqrf``/``orgqr`` and ``gesdd`` through numpy), which stays
+orthonormal to ``ORTHONORMAL_TOL`` whatever the condition number of the
+input.  The spectral norm is the top eigenvalue of the r x r Gram matrix.
 
 Randomness comes from a named, seeded generator: ``make_rng(seed)`` returns a
 numpy ``Generator`` over the PCG64 bit generator, whose normal variates use
@@ -27,7 +22,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import blas, lapack
+from scipy.linalg import lapack
 
 Rng = np.random.Generator
 
@@ -36,9 +31,6 @@ EIGH_DIM_CAP = 4096
 
 #: Largest entry of ``Q.T @ Q - I`` that the QR and SVD kernels return.
 ORTHONORMAL_TOL = 1e-12
-
-# Rows per block when a p x r factor is multiplied by an r x r matrix in place.
-_ROW_BLOCK = 2048
 
 
 class DegenerateMatrixError(ValueError):
@@ -89,44 +81,18 @@ def upper_inverse(c: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _cholesky_qr2(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """``(Q, R)`` with ``mat = Q R`` by CholeskyQR2, or ``None`` on breakdown.
-
-    Two rounds of ``C = chol(Q' Q)``, ``Q <- Q C^{-1}`` on one row-major copy
-    of ``mat``; the product is BLAS ``trmm`` in place on its column-major
-    transpose, ``Q' <- C^{-T} Q'``.  R is the product of the two triangles.
-    ``None`` when a Cholesky factorization fails, or when ``Q' Q`` misses
-    the identity by more than ``ORTHONORMAL_TOL`` (also when it is not
-    finite).
-    """
-    qt, r = np.array(mat, order="C").T, None
-    for _ in range(2):
-        # dsyrk fills the upper triangle of Q' Q and leaves the lower one zero.
-        upper, info = lapack.dpotrf(blas.dsyrk(1.0, qt), lower=0, clean=1)
-        if info != 0:
-            return None
-        # A factor with a positive diagonal, so its inverse exists.
-        qt = blas.dtrmm(1.0, upper_inverse(upper), qt, trans_a=1, overwrite_b=1)
-        r = upper if r is None else upper @ r
-    if not np.abs(blas.dsyrk(1.0, qt) - np.eye(qt.shape[0])).max() <= ORTHONORMAL_TOL:
-        return None
-    return qt.T, r
-
-
 def qr_econ(mat: np.ndarray) -> np.ndarray:
     """Orthonormal basis of range(mat) for a full-column-rank p x r matrix.
 
     Returns Q (p x r) with ``Q.T @ Q = I`` to ``ORTHONORMAL_TOL`` in max
-    norm, computed by CholeskyQR2, or by Householder reflections when that
-    breaks down.  Raises ``DegenerateMatrixError`` when a column is
-    numerically dependent on the preceding ones (vanishing R diagonal).
+    norm, computed by Householder reflections.  Raises
+    ``DegenerateMatrixError`` when a column is numerically dependent on the
+    preceding ones (vanishing R diagonal).
     """
     mat = _check_tall(mat, "qr_econ")
-    p, r = mat.shape
-    qr = _cholesky_qr2(mat) if r else None
-    q, rmat = qr if qr is not None else np.linalg.qr(mat, mode="reduced")
+    q, rmat = np.linalg.qr(mat, mode="reduced")
     diag = np.abs(np.diag(rmat))
-    tol = max(p, r) * np.finfo(np.float64).eps * (diag.max() if diag.size else 0.0)
+    tol = mat.shape[0] * np.finfo(np.float64).eps * (diag.max() if diag.size else 0.0)
     if diag.size == 0 or np.any(diag <= tol):
         raise DegenerateMatrixError("degenerate sketch matrix")
     return q
@@ -157,23 +123,10 @@ def thin_svd(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(v, sigma)`` where ``b = v @ diag(sigma) @ w.T`` for some
     orthogonal w (discarded), with sigma sorted descending and the columns
-    of v orthonormal to ``ORTHONORMAL_TOL``.  Computed as ``b = Q R`` by
-    CholeskyQR2 and the SVD of the r x r R, or by a Householder SVD when
-    CholeskyQR2 breaks down.
+    of v orthonormal to ``ORTHONORMAL_TOL``, by a Householder SVD.
     """
-    b = _check_tall(b, "thin_svd")
-    qr = _cholesky_qr2(b) if b.shape[1] else None
-    if qr is None:
-        v, sigma, _ = np.linalg.svd(b, full_matrices=False)
-        return v, sigma
-    q, r = qr
-    u, sigma, _ = np.linalg.svd(r)
-    # q <- q u in place, a block of rows at a time, so that the build holds
-    # one p x r buffer instead of two.
-    for start in range(0, q.shape[0], _ROW_BLOCK):
-        block = q[start:start + _ROW_BLOCK]
-        block[...] = block @ u
-    return q, sigma
+    v, sigma, _ = np.linalg.svd(_check_tall(b, "thin_svd"), full_matrices=False)
+    return v, sigma
 
 
 def eigh_small(a: np.ndarray, max_dim: int = EIGH_DIM_CAP) -> tuple[np.ndarray, np.ndarray]:

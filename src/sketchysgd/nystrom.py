@@ -3,12 +3,11 @@
 Given black-box products with a symmetric PSD operator H (typically a
 subsampled Hessian), ``rand_nys_approx`` builds a rank-r eigenpair
 factorization ``H_hat = V diag(lam) V.T`` from a single blocked sketch
-``Y = H Q``.  Apart from that product, the build is a handful of p x r
-matrix products around r x r factorizations: CholeskyQR2 of the Gaussian
-test matrix, ``B = Y C^{-1}`` as one product with the inverse of the r x r
-Cholesky factor, CholeskyQR2 of B and the SVD of its r x r factor, and the
-spectral norm from the r x r Gram matrix; see :mod:`sketchysgd.linalg` for
-the Householder fallback.  The regularized approximation
+``Y = H Q``.  Apart from that product, the build is a Householder QR of
+the Gaussian test matrix, ``B = Y C^{-1}`` as one product with the inverse
+of the r x r Cholesky factor, a Householder thin SVD of B, and the
+spectral norm from the r x r Gram matrix (see :mod:`sketchysgd.linalg`).
+The regularized approximation
 ``P = H_hat + rho I`` then supports O(p r) application of ``P^{-1}`` and
 ``P^{-1/2}`` through the matrix inversion lemma, which is all the optimizer
 ever needs.  On CSR data the optimizer builds on the Hessian batch's column

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 import scipy
 
+import sketchysgd
 from sketchysgd import cli
 from sketchysgd import data as data_module
 from sketchysgd.cli import file_sha256, main, records_to_csv, validate_config
@@ -99,6 +100,13 @@ def test_manifest_records_digest_versions_and_threads(workspace, monkeypatch):
         assert env[lib]["name"] == builds[lib]["name"]
         assert env[lib]["version"] == builds[lib]["version"]
         assert env[lib].get("openblas configuration") == builds[lib].get("openblas configuration")
+
+
+def test_package_version_matches_pyproject():
+    # The manifest's package_version is __version__; a release bumps both.
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    match = re.search(r'^version = "([^"]+)"$', text, flags=re.MULTILINE)
+    assert match is not None and match.group(1) == sketchysgd.__version__
 
 
 @pytest.mark.parametrize("size", [0, 5, (1 << 20) - 1, 1 << 20, (5 << 19) + 3])
@@ -895,6 +903,16 @@ def test_cli_failure_contract_under_fuzzed_configs_and_data(tmp_path, monkeypatc
         for command in ("validate", "run"):
             code, err = check(command, config, f"optimizers.2.label = {label!r}")
             assert code == 2 and err.startswith("config error: optimizers[2]: label must be ")
+            assert err.count("\n") == 1, err
+    # output file names over 255 bytes, from a label or from a seed, or not
+    # encodable at all
+    for key, value in (("label", "x" * 300), ("seeds", [10**300]), ("label", "\ud800")):
+        config = json.loads(json.dumps(FUZZ_CONFIG))
+        config["optimizers"] = config["optimizers"][2:3]
+        (config["optimizers"][0] if key == "label" else config)[key] = value
+        for command in ("validate", "run"):
+            code, err = check(command, config, f"{key} = {value!r}")
+            assert code == 2 and err.startswith("config error: optimizers[0]: output file name "), err
             assert err.count("\n") == 1, err
     for name, text in FUZZ_FILES.items():
         (tmp_path / "d.svm").write_text(text)

@@ -708,6 +708,16 @@ def test_a_run_on_all_empty_rows_still_fails_its_step_size(monkeypatch):
     assert shapes == [(oracle.p, 3)]
 
 
+def test_a_sketch_of_rank_above_its_batch_keeps_the_batch_rank():
+    # the Hessian batch has rank 5, so B = Y C^{-1} is rank-deficient
+    ds, _ = planted_least_squares(300, 40, condition=1e3, seed=5)
+    oracle = ProblemOracle(ds, "ridge", 0.0)
+    cfg = resolve_config(OptimizerConfig(rank=12, hess_batch_size=5), oracle)
+    nys = optimizers.sketch_hessian(oracle, cfg, np.zeros(oracle.p), make_rng(26))
+    assert np.all(nys.eigenvalues[:5] > 0) and np.all(nys.eigenvalues[5:] == 0.0)
+    assert np.abs(nys.basis.T @ nys.basis - np.eye(cfg.rank)).max() <= ORTHONORMAL_TOL
+
+
 def test_a_dense_sketch_draws_the_stream_it_always_drew():
     ds, _ = planted_least_squares(300, 40, condition=1e3, seed=5)
     oracle = ProblemOracle(ds, "ridge", 0.0)
